@@ -1,9 +1,7 @@
 """Bank-conflict analysis for the HLS estimator.
 
-This module simulates — with NumPy, over the actual unrolled copies and
-a deterministic sample of sequential iterations — which bank every
-processing element (PE) touches. From that it derives the quantities
-§2.1 identifies as the sources of (un)predictability:
+For every access of a kernel this module derives the quantities §2.1
+identifies as the sources of (un)predictability:
 
 * ``mux_degree`` — how many distinct banks one PE must reach over time.
   1 means a direct PE↔bank wire (Fig. 3c); ``total_banks`` means a full
@@ -13,16 +11,46 @@ processing element (PE) touches. From that it derives the quantities
   fan out (they count once, §3.1); writes always count.
 * ``aligned`` — every PE owns a static set of banks disjoint from the
   others (the "unrolling divides banking" unwritten rule).
+
+The quantities are defined over the (bank, address) trace each
+processing element (PE, one unrolled copy of the loop body) follows
+across a deterministic sample of sequential iterations
+(:func:`_loop_samples`). They are computed in closed form, without
+building any trace, from a permutation argument. For a non-dynamic
+access, the index of dimension ``d`` at sample ``s`` and PE ``r`` is
+``A_d[s] + B_d[r]``: a sequential part plus the PE's unrolled offset.
+With cyclic partition factors ``f``:
+
+* The bank is the mixed-radix code of ``(A[s] + B[r]) mod f``. Adding
+  ``B[r]`` only permutes the bank residues, so every PE reaches the
+  same number ``m = |T|`` of banks, where ``T = {A[s] mod f}``.
+* Split ``A = f·qa + a`` and ``B = f·qb + b``: the address of dimension
+  ``d`` is ``qa + qb + (a + b) // f``. Two PEs with the same residues
+  ``β = B mod f`` therefore hit the same bank at every sample, at
+  addresses that differ by the same amount each time, the difference
+  of their ``α = Σ_d (B_d // f_d)·stride_d``. PEs with different ``β``
+  hit different banks at every sample. So two PEs have identical
+  traces iff they agree on ``(β, α)``.
+* Write pressure (every copy counts) is the largest number of PEs that
+  share one ``β``; read pressure (identical addresses fan out) is the
+  largest number of distinct ``α`` within one ``β``.
+* The per-PE bank sets partition the banks they reach (``regular``)
+  iff the distinct traces' bank counts, ``#(β, α) · m``, add up to the
+  size of their union ``∪_β (T + β)``.
+
+Each access costs O(samples + PE representatives).
+``tests/oracles/banking_sim.py`` keeps the trace simulation these
+formulas replace as the differential reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 
 import numpy as np
 
-from .kernel import AccessSpec, ArraySpec, KernelSpec
+from .kernel import AccessSpec, AffineIndex, ArraySpec, KernelSpec
 
 #: Cap on enumerated PE combinations — above this we sample.
 _MAX_PES = 4096
@@ -60,164 +88,197 @@ class ArrayProfile:
     regular: bool
 
 
+def _product_rows(sizes: list[int], cap: int) -> np.ndarray:
+    """The rows of ``itertools.product(*map(range, sizes))`` as digit
+    vectors, thinned above ``cap`` rows to the strided subsample
+    ``rows[::len(rows) // cap][:cap]``, decoded from flat positions
+    without building the product."""
+    total = prod(sizes)
+    count, stride = (total, 1) if total <= cap else (cap, total // cap)
+    if not sizes:
+        return np.zeros((count, 0), dtype=np.int64)
+    flat = np.arange(count, dtype=np.int64) * stride
+    return np.stack(np.unravel_index(flat, sizes), axis=1)
+
+
 def _loop_samples(kernel: KernelSpec) -> np.ndarray:
     """A deterministic sample of sequential iteration vectors."""
     per_loop: list[list[int]] = []
     for loop in kernel.loops:
         total = loop.iterations
-        picks = sorted({0, 1, total // 2, total - 1} & set(range(total)))
+        picks = sorted({pick for pick in (0, 1, total // 2, total - 1)
+                        if 0 <= pick < total})
         per_loop.append(picks[:_SAMPLES_PER_LOOP + 1] or [0])
-    combos = list(product(*per_loop))
-    if len(combos) > _MAX_SAMPLES:
-        stride = len(combos) // _MAX_SAMPLES
-        combos = combos[::stride][:_MAX_SAMPLES]
-    return np.array(combos, dtype=np.int64)         # (S, n_loops)
+    digits = _product_rows([len(picks) for picks in per_loop], _MAX_SAMPLES)
+    samples = np.empty_like(digits)
+    for pos, picks in enumerate(per_loop):
+        samples[:, pos] = np.array(picks, dtype=np.int64)[digits[:, pos]]
+    return samples                                  # (S, n_loops)
 
 
-def _pe_offsets(kernel: KernelSpec) -> np.ndarray:
-    """All unrolled-copy offset vectors (R, n_loops)."""
-    ranges = [range(loop.unroll) for loop in kernel.loops]
-    combos = list(product(*ranges))
-    if len(combos) > _MAX_PES:
-        stride = len(combos) // _MAX_PES
-        combos = combos[::stride][:_MAX_PES]
-    return np.array(combos, dtype=np.int64)
+@dataclass(frozen=True)
+class _Traffic:
+    """Closed-form bank behaviour of one index tuple on one geometry."""
+
+    banks_per_pe: int                # m = |T|
+    regular: bool
+    read_pressure: int
+    write_pressure: int
 
 
-def analyze_access(kernel: KernelSpec, access: AccessSpec,
-                   samples: np.ndarray | None = None,
-                   offsets: np.ndarray | None = None) -> AccessProfile:
-    """Simulate one access's bank traffic."""
-    array = kernel.array(access.array)
-    if samples is None:
-        samples = _loop_samples(kernel)
-    if offsets is None:
-        offsets = _pe_offsets(kernel)
-    n_samples, n_pes = len(samples), len(offsets)
-    loop_names = [loop.name for loop in kernel.loops]
-    unrolls = np.array([loop.unroll for loop in kernel.loops],
-                       dtype=np.int64)
+class _Nest:
+    """One kernel's sampled iterations and PE representatives.
 
-    if any(index.dynamic for index in access.indices):
-        # Data-dependent index: any PE may hit any bank; the scheduler
-        # must serialize all copies onto one port in the worst case.
-        total_banks = array.total_banks
+    Lives for one analysis, so accesses of the kernel share its work
+    but nothing outlives the call.
+    """
+
+    def __init__(self, kernel: KernelSpec) -> None:
+        self.kernel = kernel
+        self.names = [loop.name for loop in kernel.loops]
+        self.unrolls = [loop.unroll for loop in kernel.loops]
+        # Sequential part of every loop index: iteration q of a loop
+        # unrolled u times starts at q·u.
+        self.seq = _loop_samples(kernel) * np.array(self.unrolls,
+                                                     dtype=np.int64)
+        self.n_pes = min(kernel.processing_elements, _MAX_PES)
+        self._reps: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+        self._traffic: dict[tuple, _Traffic] = {}
+
+    def representatives(self, mentioned: tuple[int, ...],
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct PE offset vectors over the ``mentioned`` loops, and
+        how many PEs share each.
+
+        PEs from unroll dimensions an access does not mention produce
+        identical traces — the hardware fans one port out to them
+        (§3.1) — so one representative carries each group. Up to
+        ``_MAX_PES`` PEs every offset combination occurs, equally
+        often; above it the PEs are the strided subsample the
+        estimator has always taken.
+        """
+        if mentioned not in self._reps:
+            if self.kernel.processing_elements <= _MAX_PES:
+                rows = _product_rows(
+                    [self.unrolls[pos] for pos in mentioned], _MAX_PES)
+                counts = np.full(len(rows), self.n_pes // len(rows))
+            else:
+                digits = _product_rows(self.unrolls, _MAX_PES)
+                key = np.zeros(len(digits), dtype=np.int64)
+                for pos in mentioned:
+                    key = key * self.unrolls[pos] + digits[:, pos]
+                _, first, counts = np.unique(key, return_index=True,
+                                             return_counts=True)
+                rows = digits[first][:, list(mentioned)]
+            self._reps[mentioned] = rows, counts
+        return self._reps[mentioned]
+
+    def _closed_form(self, indices: tuple[AffineIndex, ...],
+                     array: ArraySpec) -> _Traffic:
+        """The module docstring's formulas for ``indices`` into an
+        array of ``array``'s geometry."""
+        dims = len(array.dims)
+        indices = indices[:dims]
+        # Coefficients by loop position (an extracted nest may repeat a
+        # loop name; each position then takes that name's coefficient).
+        table = [[index.coeff(name) for index in indices]
+                 for name in self.names]
+        mentioned = [pos for pos, row in enumerate(table) if any(row)]
+        coeffs = np.array(table, dtype=np.int64).reshape(len(table), dims)
+        # Mixed-radix weights, last dimension fastest: bank codes over
+        # the partition factors, addresses over the per-bank extents.
+        bank_weights, addr_weights = [1] * dims, [1] * dims
+        for dim in range(dims - 2, -1, -1):
+            factor = array.partition[dim + 1]
+            bank_weights[dim] = bank_weights[dim + 1] * factor
+            addr_weights[dim] = addr_weights[dim + 1] * max(
+                1, array.dims[dim + 1] // factor)
+        factors = np.array(array.partition, dtype=np.int64)
+        bank_code = np.array(bank_weights, dtype=np.int64)
+
+        def residues(codes) -> np.ndarray:
+            """Decode bank codes back into per-dimension residues."""
+            return np.array(list(codes), dtype=np.int64)[:, None] \
+                // bank_code % factors
+
+        # T: the bank residues the sequential part reaches.
+        sequential = self.seq @ coeffs + np.array(
+            [index.const for index in indices], dtype=np.int64)
+        t_codes = set(((sequential % factors) @ bank_code).tolist())
+        banks_per_pe = len(t_codes)
+
+        # (β, α) of every representative, grouped by β.
+        rows, counts = self.representatives(tuple(mentioned))
+        quotients, beta_rows = np.divmod(rows @ coeffs[mentioned], factors)
+        betas = (beta_rows @ bank_code).tolist()
+        alphas = (quotients @ np.array(addr_weights, dtype=np.int64)).tolist()
+        by_beta: dict[int, set[int]] = {}
+        pes_by_beta: dict[int, int] = {}
+        for beta, alpha, count in zip(betas, alphas, counts.tolist()):
+            by_beta.setdefault(beta, set()).add(alpha)
+            pes_by_beta[beta] = pes_by_beta.get(beta, 0) + count
+        traces = sum(len(group) for group in by_beta.values())
+
+        # Regular iff the traces' bank sets are disjoint: Σ|banks| =
+        # traces·m must equal |∪_β (T + β)|. The union holds at most
+        # m banks per β and at most total_banks overall, so it is
+        # only built when neither bound already rules equality out.
+        covered = traces * banks_per_pe
+        regular = traces == len(by_beta) and covered <= array.total_banks
+        if regular:
+            union = (residues(t_codes)[:, None, :]
+                     + residues(by_beta)[None, :, :]) % factors
+            regular = len(set((union @ bank_code).ravel().tolist())) \
+                == covered
+
+        return _Traffic(
+            banks_per_pe=banks_per_pe,
+            regular=regular,
+            read_pressure=max(len(group) for group in by_beta.values()),
+            write_pressure=max(pes_by_beta.values()))
+
+    def profile(self, access: AccessSpec) -> AccessProfile:
+        array = self.kernel.array(access.array)
+        if any(index.dynamic for index in access.indices):
+            # Data-dependent index: any PE may hit any bank; the
+            # scheduler must serialize all copies onto one port in the
+            # worst case.
+            total_banks = array.total_banks
+            return AccessProfile(
+                access=access,
+                mux_degree=total_banks,
+                port_pressure=self.n_pes,
+                regular=total_banks == 1 and self.n_pes == 1,
+                crossbar=total_banks >= 4,
+                dynamic=True)
+        # Accesses with the same indices into the same geometry (a
+        # read-modify-write pair, say) share one computation.
+        key = (access.indices, array.dims, array.partition)
+        if key not in self._traffic:
+            self._traffic[key] = self._closed_form(access.indices, array)
+        traffic = self._traffic[key]
+        mux_degree = max(1, traffic.banks_per_pe)
         return AccessProfile(
             access=access,
-            mux_degree=total_banks,
-            port_pressure=n_pes,
-            regular=total_banks == 1 and n_pes == 1,
-            crossbar=total_banks >= 4,
-            dynamic=True)
+            mux_degree=mux_degree,
+            port_pressure=(traffic.write_pressure if access.is_write
+                           else traffic.read_pressure),
+            regular=traffic.regular,
+            crossbar=mux_degree >= 4,
+            dynamic=False)
 
-    # PEs from unroll dimensions the access does not mention produce
-    # identical traces — the hardware fans one port out to them (§3.1).
-    # Unmentioned loops contribute nothing to the index values, so one
-    # representative per mentioned-offset tuple carries the whole
-    # group's trace; the trace matrices are built over representatives
-    # only (often 8× fewer columns), with each representative's fan-out
-    # multiplicity kept for the write-pressure count below.
-    mentioned = [pos for pos, name in enumerate(loop_names)
-                 if any(index.coeff(name) for index in access.indices)]
-    if mentioned:
-        pe_key = np.zeros(n_pes, dtype=np.int64)
-        stride = 1
-        for pos in mentioned:
-            pe_key += offsets[:, pos] * stride
-            stride *= int(unrolls[pos])
-        _, rep_rows, rep_counts = np.unique(
-            pe_key, return_index=True, return_counts=True)
-    else:
-        rep_rows = np.zeros(1, dtype=np.int64)
-        rep_counts = np.array([n_pes], dtype=np.int64)
-    reps = offsets[rep_rows]
-    n_reps = len(reps)
 
-    # index value per dim: const + Σ coeff·(unroll·q + r)
-    banks = np.zeros((n_samples, n_reps), dtype=np.int64)
-    addresses = np.zeros((n_samples, n_reps), dtype=np.int64)
-    bank_stride = 1
-    addr_stride = 1
-    for dim in range(len(array.dims) - 1, -1, -1):
-        index = access.indices[dim]
-        factor = array.partition[dim]
-        values = np.full((n_samples, n_reps), index.const, dtype=np.int64)
-        for loop_pos, name in enumerate(loop_names):
-            coeff = index.coeff(name)
-            if coeff == 0:
-                continue
-            seq = samples[:, loop_pos] * unrolls[loop_pos]   # (S,)
-            par = reps[:, loop_pos]                          # (R,)
-            values += coeff * (seq[:, None] + par[None, :])
-        banks += np.mod(values, factor) * bank_stride
-        addresses += (values // factor) * addr_stride
-        bank_stride *= factor
-        addr_stride *= max(1, array.dims[dim] // factor)
-
-    # Distinct mentioned offsets can still collide on values (e.g. an
-    # i+j index), so deduplicate identical (bank, address) trace
-    # columns among the representatives before the mux analysis.
-    shifted = addresses - addresses.min()
-    addr_span = int(shifted.max()) + 1
-    combined = banks * addr_span + shifted           # injective fold
-    columns = np.ascontiguousarray(combined.T)
-    as_void = columns.view(
-        np.dtype((np.void, columns.dtype.itemsize * columns.shape[1])))
-    _, keep = np.unique(as_void.ravel(), return_index=True)
-    banks_distinct = banks[:, keep]
-
-    # Mux degree: distinct banks each effective PE sees across time.
-    # Regularity: the per-PE bank sets are pairwise disjoint (they
-    # partition the banks) exactly when the unrolling "divides" the
-    # banking — §2.1's unwritten rule. Disjointness ⟺ Σ|banks_pe| ==
-    # |∪ banks_pe|. Count distinct values per column in one batched
-    # sort+diff instead of a per-PE Python loop.
-    sorted_cols = np.sort(banks_distinct, axis=0)
-    distinct_per_pe = np.ones(sorted_cols.shape[1], dtype=np.int64)
-    if sorted_cols.shape[0] > 1:
-        distinct_per_pe += (np.diff(sorted_cols, axis=0) != 0).sum(axis=0)
-    mux_degree = max(1, int(distinct_per_pe.max(initial=1)))
-    per_pe_total = int(distinct_per_pe.sum())
-    union_size = len(np.unique(banks_distinct))
-    regular = per_pe_total == union_size
-
-    # Port pressure: worst per-bank simultaneous load in one iteration.
-    # Fold (sample, bank[, address]) into flat integer keys so the whole
-    # matrix is grouped with batched counting instead of a Python loop
-    # over samples.
-    total_banks = bank_stride                 # banks ∈ [0, total_banks)
-    sample_ids = np.arange(n_samples, dtype=np.int64)[:, None]
-    bank_keys = sample_ids * total_banks + banks             # (S, R)
-    if access.is_write:
-        # Writes always count — every fanned-out copy of a
-        # representative hits its bank, so weight by multiplicity.
-        weights = np.broadcast_to(
-            rep_counts.astype(np.float64), bank_keys.shape)
-        counts = np.bincount(bank_keys.ravel(),
-                             weights=weights.ravel())
-    else:
-        # Identical (bank, address) pairs fan out — count once.
-        triples = np.unique(bank_keys * addr_span + shifted)
-        _, counts = np.unique(triples // addr_span, return_counts=True)
-    pressure = int(counts.max())
-
-    return AccessProfile(
-        access=access,
-        mux_degree=mux_degree,
-        port_pressure=pressure,
-        regular=regular,
-        crossbar=mux_degree >= 4,
-        dynamic=False)
+def analyze_access(kernel: KernelSpec, access: AccessSpec) -> AccessProfile:
+    """Profile one access of ``kernel``."""
+    return _Nest(kernel).profile(access)
 
 
 def analyze_kernel(kernel: KernelSpec) -> dict[str, ArrayProfile]:
     """Profile every array of the kernel."""
-    samples = _loop_samples(kernel)
-    offsets = _pe_offsets(kernel)
+    nest = _Nest(kernel)
     profiles: dict[str, list[AccessProfile]] = {}
     for access in kernel.accesses:
-        profile = analyze_access(kernel, access, samples, offsets)
-        profiles.setdefault(access.array, []).append(profile)
+        profiles.setdefault(access.array, []).append(nest.profile(access))
 
     result: dict[str, ArrayProfile] = {}
     for name, access_profiles in profiles.items():

@@ -111,11 +111,13 @@ def estimate_bounds(kernel: KernelSpec,
 
     The point of this function is its *cost*: it needs no banking
     analysis (the expensive part of :func:`estimate`), so it runs
-    ~40× faster than a full estimate — cheap enough to score every
-    candidate of a sweep up front. The frontier-guided search in
-    :mod:`repro.dse.frontier` uses it to prune candidates that a
-    fully-evaluated point already dominates; that pruning is sound
-    *only because* this bound never exceeds the real objectives, so
+    ~10× faster than a full estimate (averaged over every 16th
+    configuration of the four DSE families on a 2-core x86 VM) —
+    cheap enough to score every candidate of a sweep up front. The
+    frontier-guided search in :mod:`repro.dse.frontier` uses it to
+    prune candidates that a fully-evaluated point already dominates;
+    that pruning is sound *only because* this bound never exceeds the
+    real objectives, so
     every term below must under-approximate its counterpart in
     :func:`~repro.hls.scheduling.schedule` /
     :func:`~repro.hls.resources.estimate_resources`:

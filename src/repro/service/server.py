@@ -1233,6 +1233,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: the body bound alone would leave the header loop unbounded.
 MAX_HEADER_BYTES = 64 * 1024
 
+#: After an early 400, read and discard at most this much unread input,
+#: for at most this long, before closing (see :func:`_linger`).
+LINGER_MAX_BYTES = 1024 * 1024
+LINGER_MAX_S = 2.0
+
 
 def _response_bytes(status: int, body: bytes, keep_alive: bool,
                     extra_headers: Mapping[str, str] | None = None,
@@ -1293,6 +1298,30 @@ def _stream_head(keep_alive: bool,
 
 def _chunk_bytes(data: bytes) -> bytes:
     return f"{len(data):X}\r\n".encode() + data + b"\r\n"
+
+
+async def _linger(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter) -> None:
+    """Half-close, then drain unread input before the connection closes.
+
+    A request rejected before it was fully read leaves the client's
+    remaining bytes unread. Closing a socket with unread input makes
+    the kernel send an RST, which can overtake the 400 still in flight
+    and reach a client that is still sending as ``BrokenPipeError`` or
+    ``ConnectionResetError`` instead of the response. Sending FIN first
+    and reading until the client's EOF (bounded in bytes and time)
+    lets the response arrive intact.
+    """
+    if writer.can_write_eof():
+        writer.write_eof()
+    drained = 0
+    with contextlib.suppress(TimeoutError):
+        async with asyncio.timeout(LINGER_MAX_S):
+            while drained < LINGER_MAX_BYTES:
+                chunk = await reader.read(64 * 1024)
+                if not chunk:
+                    return
+                drained += len(chunk)
 
 
 async def _read_request(reader: asyncio.StreamReader,
@@ -1611,6 +1640,7 @@ class ServiceServer:
                     body = encode_payload({"ok": False, "error": str(error)})
                     writer.write(_response_bytes(400, body, False))
                     await writer.drain()
+                    await _linger(reader, writer)
                     break
                 if request is None:
                     break
