@@ -91,11 +91,6 @@ _EVICT_TO = 0.8
 #: Puts between opportunistic eviction sweeps.
 _SWEEP_EVERY = 64
 
-#: Temp files older than this are crash debris: no write-then-rename
-#: takes minutes, so they can never be another process's in-flight
-#: publication and are safe to unlink during a sweep.
-_TMP_MAX_AGE_S = 300.0
-
 #: How long a cached (files, bytes) usage scan stays fresh. stats()
 #: is called on every /metrics publish, and walking tens of thousands
 #: of artifact files per request would dominate warm latency.
@@ -238,7 +233,7 @@ class DiskStore:
         write and the rename — they are invisible to the size
         accounting and would otherwise accumulate forever.
         """
-        reap_temp_debris(self.root, older_than_s=_TMP_MAX_AGE_S)
+        reap_temp_debris(self.root)
         entries = []
         total = 0
         for path in self._artifact_files():

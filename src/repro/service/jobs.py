@@ -15,10 +15,11 @@ Three properties drive the design:
   asking for the same sweep coalesces onto one record and one compute
   — the job-level counterpart of the pipeline's singleflight.
 * **filesystem-only coordination** — job records live in a
-  :class:`JobSpool` (one JSON file per job, write-then-rename — the
-  ``SessionSpool`` pattern), so a prefork fleet's round-robin routing
+  :class:`~repro.util.spool.Spool` (one JSON file per job,
+  write-then-rename), so a prefork fleet's round-robin routing
   resolves any job from any worker, and records survive node
-  restarts.
+  restarts. A queued or running job with a live owner is never
+  pruned, however many finished records a peer spools after it.
 * **orphan detection** — records carry their owner's pid; a reader
   that finds a ``queued``/``running`` record whose owner is gone
   marks it ``error`` instead of letting clients poll a ghost forever.
@@ -32,23 +33,19 @@ shutdown on a long sweep.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
 import logging
 import os
-import tempfile
 import threading
 import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from ..util.fsio import atomic_write, reap_temp_debris
 from ..util.hashing import content_key, options_fingerprint
+from ..util.spool import Spool, pid_alive
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["JobManager", "JobSpool", "job_id_for"]
+__all__ = ["JobManager", "job_id_for"]
 
 #: Simultaneously *running* jobs per process; excess jobs queue.
 DEFAULT_JOB_SLOTS = 2
@@ -71,108 +68,13 @@ def job_id_for(params: Mapping[str, Any]) -> str:
     return content_key("dse_job", options_fingerprint(params))[:16]
 
 
-class JobSpool:
-    """Write-then-rename job records shared by a worker fleet.
-
-    Same filesystem-only coordination as the worker board, trace
-    spool, and session spool: one JSON file per job, named by a hash
-    of the id, pruned to the newest :data:`MAX_FILES`. The one new
-    primitive is :meth:`create` — an *exclusive* publication (temp
-    write + ``os.link``), which is what lets two workers that receive
-    the same submission simultaneously agree on a single owner.
-    """
-
-    MAX_FILES = 256
-    _PRUNE_EVERY = 32
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._writes = 0
-        reap_temp_debris(self.root)
-
-    def path_for(self, job_id: str) -> Path:
-        digest = hashlib.sha256(job_id.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def create(self, record: Mapping[str, Any]) -> bool:
-        """Publish ``record`` only if no record exists for its id.
-
-        ``os.link`` of a fully-written temp file is atomic and fails
-        with ``EEXIST`` when another worker linked first — the loser
-        of the race reads the winner's record and coalesces.
-        """
-        path = self.path_for(str(record["job"]))
-        handle = tempfile.NamedTemporaryFile(
-            mode="wb", dir=self.root, suffix=".tmp", delete=False)
-        try:
-            handle.write(json.dumps(record).encode())
-            handle.close()
-            try:
-                os.link(handle.name, path)
-            except FileExistsError:
-                return False
-            except OSError:
-                # Filesystems without hard links: fall back to a plain
-                # atomic write (the exclusivity race becomes a
-                # duplicate compute, which is deterministic anyway).
-                return atomic_write(path, json.dumps(record).encode(),
-                                    tmp_dir=self.root)
-            self._count_write()
-            return True
-        finally:
-            with contextlib.suppress(OSError):
-                os.unlink(handle.name)
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        atomic_write(self.path_for(str(record["job"])),
-                     json.dumps(record).encode(), tmp_dir=self.root)
-        self._count_write()
-
-    def read(self, job_id: str) -> dict | None:
-        try:
-            return json.loads(self.path_for(job_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None                       # absent, mid-replace, torn
-
-    def read_all(self) -> list[dict]:
-        records = []
-        for path in self.root.glob("*.json"):
-            try:
-                records.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue
-        return records
-
-    def _count_write(self) -> None:
-        with self._lock:
-            self._writes += 1
-            prune = self._writes % self._PRUNE_EVERY == 0
-        if prune:
-            self._prune()
-
-    def _prune(self) -> None:
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        for _, path in entries[self.MAX_FILES:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
+def _in_flight(record: Mapping[str, Any]) -> bool:
+    return record.get("state") in ("queued", "running")
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True                           # exists but not ours
-    return True
+def _live(record: Mapping[str, Any]) -> bool:
+    """Queued or running under a live owner: the spool keeps it."""
+    return _in_flight(record) and pid_alive(int(record.get("pid", -1)))
 
 
 class JobManager:
@@ -190,7 +92,8 @@ class JobManager:
                  spool_dir: str | Path | None = None,
                  max_parallel: int = DEFAULT_JOB_SLOTS) -> None:
         self._runner = runner
-        self.spool = JobSpool(spool_dir) if spool_dir else None
+        self.spool = (Spool(spool_dir, "job", live=_live)
+                      if spool_dir else None)
         self._records: dict[str, dict] = {}   # jobs owned by this process
         self._lock = threading.Lock()
         self._slots = threading.BoundedSemaphore(max(1, max_parallel))
@@ -273,8 +176,8 @@ class JobManager:
 
     @staticmethod
     def _orphaned(record: Mapping[str, Any]) -> bool:
-        return (record.get("state") in ("queued", "running")
-                and not _pid_alive(int(record.get("pid", -1))))
+        """Queued or running, but the owner process is gone."""
+        return _in_flight(record) and not _live(record)
 
     # -- execution (owner process only) -------------------------------------
 
@@ -357,7 +260,7 @@ class JobManager:
             records = {job_id: self._snapshot(record)
                        for job_id, record in self._records.items()}
         if self.spool is not None:
-            for record in self.spool.read_all():
+            for record in self.spool.records():
                 records.setdefault(str(record.get("job")), record)
         ordered = sorted(records.values(),
                          key=lambda r: float(r.get("created", 0.0)),

@@ -35,8 +35,8 @@ platform supports it, otherwise all workers accept on a single
 listening socket inherited over ``fork``. Workers share the
 *persistent artifact tier* (``--cache-dir``), so any worker can serve
 any other worker's cached stage results, and publish their per-process
-statistics to a :class:`WorkerBoard` (one JSON file per worker, atomic
-rename) from which any worker answers ``/metrics`` with
+statistics to a :class:`WorkerBoard` (one spooled JSON record per
+worker, atomic rename) from which any worker answers ``/metrics`` with
 fleet-aggregated numbers and ``/healthz`` with per-worker liveness.
 The parent process only supervises: it respawns workers that die.
 
@@ -68,8 +68,7 @@ from typing import Any, Mapping
 from ..util import telemetry
 from ..util.deadline import Deadline, DeadlineExceeded, deadline_scope
 from ..util.faults import fault_point, fault_stats
-from ..util.fsio import atomic_write, reap_temp_debris
-from ..util.singleflight import SingleFlight
+from ..util.spool import Spool, pid_alive
 from .artifacts import DEFAULT_DISK_BYTES, ArtifactKey
 from .jobs import JobManager, job_id_for
 from .session import (
@@ -206,30 +205,28 @@ RETRY_AFTER_S = 1.0
 
 
 class WorkerBoard:
-    """Cross-process statistics board for the prefork worker fleet.
+    """Heartbeat and liveness policy over the fleet's stats spool.
 
-    Each worker owns one JSON file (``worker-<i>.json``) under the
-    board directory and republishes its snapshot after every request
-    and on an idle heartbeat. Files are written with the same
-    write-then-rename discipline as the disk artifact tier, so readers
-    never see torn JSON. Any worker can then answer ``/metrics`` for
-    the whole fleet by reading every file — there is no IPC beyond the
+    Each worker owns one record (keyed by its index) in a
+    :class:`~repro.util.spool.Spool` at the board directory and
+    republishes its snapshot after every request and on an idle
+    heartbeat. Any worker can then answer ``/metrics`` for the whole
+    fleet by reading every record, and ``/healthz`` by checking each
+    record's pid and heartbeat age — there is no IPC beyond the
     filesystem, which is exactly the dependency the shared artifact
     tier already implies.
     """
 
     def __init__(self, root: str | Path, worker: int | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.spool = Spool(root, "worker")
         self.worker = worker
         self._lock = threading.Lock()
-        reap_temp_debris(self.root)          # crash orphans from publish()
 
     def path_for(self, worker: int) -> Path:
-        return self.root / f"worker-{worker}.json"
+        return self.spool.path_for(worker)
 
     def publish(self, payload: dict) -> None:
-        """Atomically replace this worker's stats file.
+        """Atomically replace this worker's stats record.
 
         The snapshot is taken under the lock, so concurrent publishers
         in one process cannot overwrite newer counters with older ones.
@@ -237,36 +234,17 @@ class WorkerBoard:
         if self.worker is None:
             return
         with self._lock:
-            record = {
+            self.spool.write({
                 "worker": self.worker,
                 "pid": os.getpid(),
                 "updated": time.time(),
                 **payload,
-            }
-            atomic_write(self.path_for(self.worker),
-                         json.dumps(record).encode(), tmp_dir=self.root)
+            })
 
     def read_all(self) -> list[dict]:
-        """Every worker's latest snapshot (unreadable files skipped)."""
-        records = []
-        for path in sorted(self.root.glob("worker-*.json")):
-            try:
-                records.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue                      # mid-replace or vanished
-        return records
-
-    @staticmethod
-    def pid_alive(pid: int) -> bool:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return False
-        except (PermissionError, OSError):
-            return True                       # exists but not ours
-        except AttributeError:                # pragma: no cover — no os.kill
-            return True
-        return True
+        """Every worker's latest snapshot, in worker order."""
+        return sorted(self.spool.records(),
+                      key=lambda record: str(record.get("worker")))
 
     def liveness(self) -> list[dict]:
         """Per-worker liveness for ``/healthz``."""
@@ -278,225 +256,84 @@ class WorkerBoard:
             report.append({
                 "worker": record.get("worker"),
                 "pid": pid,
-                "alive": (self.pid_alive(pid)
+                "alive": (pid_alive(pid)
                           and age < _STALE_HEARTBEATS * HEARTBEAT_S),
                 "heartbeat_age_s": round(age, 3),
             })
         return report
 
 
-class TraceSpool:
-    """Filesystem spool of finished traces shared by a worker fleet.
+#: Snapshot keys naming state the fleet shares (one disk tier, one
+#: peer list, one fault plan): the fleet fold reads them from the
+#: freshest snapshot instead of summing per-worker copies.
+_SHARED_KEYS = frozenset({"root", "max_bytes", "files", "bytes",
+                          "peers", "plan"})
 
-    The worker that serves a request owns its trace; spooling the
-    finished trace (write-then-rename, one JSON file per trace) next
-    to the :class:`WorkerBoard` lets *any* worker answer ``GET
-    /trace?id=…`` for it — same filesystem-only coordination as the
-    board and the disk artifact tier. Files are named by a hash of the
-    trace id (ids echo client-supplied ``X-Request-Id`` values, which
-    must not become path components), and the spool is pruned to the
-    newest :data:`MAX_FILES` periodically.
-    """
-
-    MAX_FILES = 256
-    _PRUNE_EVERY = 32
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._writes = 0
-
-    def path_for(self, trace_id: str) -> Path:
-        digest = hashlib.sha256(trace_id.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def write(self, trace: Mapping[str, Any]) -> None:
-        trace_id = str(trace.get("trace_id", ""))
-        if not trace_id:
-            return
-        atomic_write(self.path_for(trace_id),
-                     json.dumps(trace).encode(), tmp_dir=self.root)
-        with self._lock:
-            self._writes += 1
-            prune = self._writes % self._PRUNE_EVERY == 0
-        if prune:
-            self._prune()
-
-    def read(self, trace_id: str) -> dict | None:
-        try:
-            return json.loads(self.path_for(trace_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None                       # absent, mid-replace, torn
-
-    def list(self, limit: int = 20) -> list[dict]:
-        """The newest spooled traces (by file mtime), newest first."""
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        traces = []
-        for _, path in entries[:max(0, limit)]:
-            try:
-                traces.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue
-        return traces
-
-    def _prune(self) -> None:
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        for _, path in entries[self.MAX_FILES:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
+#: Snapshot keys describing only the worker that published them; a
+#: fleet ``/metrics`` reports the answering worker's own.
+_PER_PROCESS_KEYS = frozenset({"uptime_s", "inflight_limit"})
 
 
 def _aggregate_metrics(records: list[dict]) -> dict:
     """Fold per-worker ``/metrics`` snapshots into fleet totals.
 
-    Counters sum; ``max_ms`` takes the max; means are recomputed from
-    the summed totals. Disk-tier ``files``/``bytes`` describe the one
-    shared directory, so they are taken from the freshest snapshot
-    rather than summed.
+    The fold is structural, so a new counter needs no edit here.
+    Numbers sum (histogram buckets are maps of numbers, so they sum
+    too) except ``max_ms``, which takes the max; ``None`` (a worker
+    without a fault plan) adds nothing; :data:`_SHARED_KEYS` come from
+    the freshest snapshot holding them. Means, percentiles and the hit
+    rate are then recomputed from the folded totals.
     """
-    endpoints: dict[str, dict] = {}
-    cache = {"capacity": 0, "entries": 0, "hits": 0, "misses": 0,
-             "evictions": 0, "stages": {},
-             "functions": {"checked": 0, "reused": 0},
-             "compile_units": {"emitted": 0, "reused": 0},
-             "resolved_cache": {"entries": 0, "reused": 0},
-             "singleflight": {"leaders": 0, "followers": 0,
-                              "failures": 0, "reelections": 0,
-                              "inflight": 0}}
-    resilience: dict[str, Any] = {"deadline_exceeded": 0, "shed": 0,
-                                  "slow": 0, "faults": None}
-    sessions: dict[str, Any] = {
-        "open": 0, "opened": 0, "closed": 0, "evicted_ttl": 0,
-        "evicted_lru": 0, "edits": 0, "stale_rejected": 0,
-        "replayed": 0, "hydrated": 0, "synced": 0, "not_found": 0,
-        "segments": {"reparsed": 0, "reused": 0, "relocated": 0}}
-    dse: dict[str, int] = {"requests": 0, "coalesced": 0,
-                           "async_jobs": 0,
-                           "frontier_requests": 0, "stream_requests": 0,
-                           "frontier_updates": 0, "points_evaluated": 0}
-    cas: dict[str, int] = {"served": 0, "stored": 0}
-    jobs: dict[str, int] = {"submitted": 0, "coalesced": 0,
-                            "completed": 0, "failed": 0}
-    disk: dict | None = None
-    remote: dict | None = None
-    freshest = -1.0
-    for record in records:
-        metrics = record.get("metrics", {})
-        # Session counters sum across workers; a hydrated session is
-        # "open" on every worker that holds a copy, so the fleet-wide
-        # "open" is an upper bound on distinct sessions.
-        row = metrics.get("sessions", {})
+    fleet: dict = {}
+    stamps: dict[tuple, float] = {}     # key path → ``updated`` of its value
+
+    def fold(into: dict, row: Mapping, updated: float,
+             path: tuple) -> None:
         for key, value in row.items():
-            if key == "segments":
-                for sub, count in value.items():
-                    sessions["segments"][sub] = \
-                        sessions["segments"].get(sub, 0) + count
+            at = path + (key,)
+            if isinstance(value, dict):
+                if not isinstance(into.get(key), dict):
+                    into[key] = {}
+                fold(into[key], value, updated, at)
+            elif value is None:
+                into.setdefault(key, None)
+            elif key in _SHARED_KEYS or not isinstance(value, (int, float)):
+                if updated > stamps.get(at, float("-inf")):
+                    stamps[at] = updated
+                    into[key] = value
+            elif key == "max_ms":
+                into[key] = max(into.get(key) or 0.0, value)
             else:
-                sessions[key] = sessions.get(key, 0) + value
-        row = metrics.get("dse", {})
-        for key in dse:
-            dse[key] += row.get(key, 0)
-        row = metrics.get("cas", {})
-        for key in cas:
-            cas[key] += row.get(key, 0)
-        row = metrics.get("jobs", {})
-        for key in jobs:
-            jobs[key] += row.get(key, 0)
-        row = metrics.get("resilience", {})
-        for key in ("deadline_exceeded", "shed", "slow"):
-            resilience[key] += row.get(key, 0)
-        faults = row.get("faults")
-        if faults:
-            merged = resilience["faults"] or {"plan": faults.get("plan"),
-                                              "sites": {}}
-            for site, counters in faults.get("sites", {}).items():
-                into = merged["sites"].setdefault(
-                    site, {"calls": 0, "fired": 0})
-                into["calls"] += counters.get("calls", 0)
-                into["fired"] += counters.get("fired", 0)
-            resilience["faults"] = merged
-        for path, row in metrics.get("endpoints", {}).items():
-            into = endpoints.setdefault(path, {
-                "requests": 0, "errors": 0, "total_ms": 0.0,
-                "max_ms": 0.0, "buckets": {}})
-            into["requests"] += row.get("requests", 0)
-            into["errors"] += row.get("errors", 0)
-            into["total_ms"] += row.get("total_ms", 0.0)
-            into["max_ms"] = max(into["max_ms"], row.get("max_ms", 0.0))
-            # Histogram buckets share fixed bounds fleet-wide, so the
-            # fold is plain addition — which is the whole point: the
-            # aggregate's percentiles below are *true* percentiles of
-            # the union of requests, not an average of averages.
-            into["buckets"] = telemetry.merge_bucket_counts(
-                (into["buckets"], row.get("buckets", {})))
-        row = metrics.get("cache", {})
-        for key in ("capacity", "entries", "hits", "misses", "evictions"):
-            cache[key] += row.get(key, 0)
-        for stage, counters in row.get("stages", {}).items():
-            into = cache["stages"].setdefault(
-                stage, {"hits": 0, "misses": 0, "coalesced": 0})
-            into["hits"] += counters.get("hits", 0)
-            into["misses"] += counters.get("misses", 0)
-            into["coalesced"] += counters.get("coalesced", 0)
-        # Function-grained sub-artifact counters (per-worker sums).
-        for block in ("functions", "compile_units", "resolved_cache",
-                      "singleflight"):
-            for key, value in row.get(block, {}).items():
-                cache[block][key] = cache[block].get(key, 0) + value
-        if "remote" in row:
-            if remote is None:
-                remote = {key: 0 for key in
-                          ("hits", "misses", "errors", "corrupt")}
-            for key in ("hits", "misses", "errors", "corrupt"):
-                remote[key] += row["remote"].get(key, 0)
-            remote["peers"] = row["remote"].get("peers")
-        if "disk" in row:
-            if disk is None:
-                disk = {key: 0 for key in
-                        ("hits", "misses", "writes", "write_errors",
-                         "evictions", "corrupt", "unpicklable")}
-            for key in ("hits", "misses", "writes", "write_errors",
-                        "evictions", "corrupt", "unpicklable"):
-                disk[key] += row["disk"].get(key, 0)
-            updated = float(record.get("updated", 0.0))
-            if updated > freshest:
-                freshest = updated
-                for key in ("root", "max_bytes", "files", "bytes"):
-                    disk[key] = row["disk"].get(key)
-    for path, row in endpoints.items():
-        requests = row["requests"]
-        row["mean_ms"] = round(row["total_ms"] / requests, 3) \
-            if requests else 0.0
+                into[key] = (into.get(key) or 0) + value
+
+    for record in records:
+        metrics = {key: value
+                   for key, value in record.get("metrics", {}).items()
+                   if key not in _PER_PROCESS_KEYS}
+        fold(fleet, metrics, float(record.get("updated", 0.0)), ())
+    _recompute(fleet)
+    return fleet
+
+
+def _recompute(row: dict) -> None:
+    """Re-derive, depth first, the values a sum would garble."""
+    for value in row.values():
+        if isinstance(value, dict):
+            _recompute(value)
+    if "total_ms" in row:                       # a latency histogram row
+        requests = row.get("requests", 0)
+        row["mean_ms"] = (round(row["total_ms"] / requests, 3)
+                          if requests else 0.0)
         row["total_ms"] = round(row["total_ms"], 3)
-        row["max_ms"] = round(row["max_ms"], 3)
+        row["max_ms"] = round(row.get("max_ms", 0.0), 3)
+        buckets = row.setdefault("buckets", {})
         for quantile, key in ((0.50, "p50_ms"), (0.95, "p95_ms"),
                               (0.99, "p99_ms")):
-            row[key] = telemetry.quantile_from_buckets(row["buckets"],
-                                                       quantile)
-    total = cache["hits"] + cache["misses"]
-    cache["hit_rate"] = round(cache["hits"] / total, 4) if total else 0.0
-    cache["stages"] = dict(sorted(cache["stages"].items()))
-    if disk is not None:
-        cache["disk"] = disk
-    if remote is not None:
-        cache["remote"] = remote
-    return {"endpoints": dict(sorted(endpoints.items())),
-            "resilience": resilience, "cache": cache,
-            "sessions": sessions, "dse": dse, "cas": cas,
-            "jobs": jobs}
+            row[key] = telemetry.quantile_from_buckets(buckets, quantile)
+    if "hit_rate" in row:
+        hits = row.get("hits", 0)
+        total = hits + row.get("misses", 0)
+        row["hit_rate"] = round(hits / total, 4) if total else 0.0
 
 
 class DahliaService:
@@ -546,7 +383,7 @@ class DahliaService:
         self.slow_request_ms = slow_request_ms
         #: Fleet trace spool: lets any worker serve /trace lookups for
         #: traces another worker finished.
-        self.spool = TraceSpool(trace_dir) if trace_dir else None
+        self.spool = Spool(trace_dir, "trace_id") if trace_dir else None
         #: Async /dse jobs; ``job_dir`` (the fleet spool) lets any
         #: prefork worker resolve a job a peer owns.
         self.jobs = JobManager(self._run_job, spool_dir=job_dir)
@@ -557,10 +394,11 @@ class DahliaService:
                      "frontier_requests": 0, "stream_requests": 0,
                      "frontier_updates": 0, "points_evaluated": 0}
         self._cas = {"served": 0, "stored": 0}
-        #: Request-level singleflight for identical concurrent /dse
-        #: submissions (keyed on the canonical job digest): a herd of
-        #: N identical sweeps costs one engine run.
-        self._dse_flights = SingleFlight()
+        #: Identical concurrent /dse submissions (keyed on the
+        #: canonical job digest) coalesce on the pipeline's
+        #: singleflight, so a herd of N identical sweeps costs one
+        #: engine run and ``cache.singleflight`` counts it.
+        self._dse_flights = self.pipeline._flights
         self._started = time.perf_counter()
 
     # -- trace access (ring buffer + fleet spool) ---------------------------
@@ -584,8 +422,8 @@ class DahliaService:
 
     def recent_traces(self, limit: int) -> list[dict]:
         """Newest finished traces: local ring ∪ fleet spool, deduped."""
-        traces = {t.get("trace_id"): t
-                  for t in (self.spool.list(limit) if self.spool else [])}
+        spooled = self.spool.records(limit) if self.spool else []
+        traces = {t.get("trace_id"): t for t in spooled}
         for trace in telemetry.recent_traces(limit):
             traces.setdefault(trace.get("trace_id"), trace)
         ordered = sorted(traces.values(),
@@ -2044,7 +1882,8 @@ def _serve_prefork(host: str, port: int, *, capacity: int,
     board_dir = (Path(tempfile.mkdtemp(prefix="dahlia-board-"))
                  if board_is_temp else Path(cache_dir) / "workers")
     board_dir.mkdir(parents=True, exist_ok=True)
-    for stale in board_dir.glob("worker-*.json"):
+    # A previous fleet's records would report its dead workers.
+    for stale in board_dir.glob("*.json"):
         with contextlib.suppress(OSError):
             stale.unlink()
 

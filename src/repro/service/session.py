@@ -24,12 +24,15 @@ Protocol rules:
   (least-recently-touched evicted first) and drops sessions idle
   longer than ``ttl_s``.
 * **Fleet** — with a ``spool_dir`` (the prefork worker board
-  directory), every applied edit is spooled write-then-rename, so any
-  worker can *hydrate* a session another worker owns: requests for an
-  unknown-but-spooled session rebuild the document from the spooled
-  text, and a session known at an older version fast-forwards by
-  content (unchanged defs are still reused). Retried requests replay
-  across workers the same way.
+  directory), every applied edit is published to a
+  :class:`~repro.util.spool.Spool`, so any worker can *hydrate* a
+  session another worker owns: requests for an unknown-but-spooled
+  session rebuild the document from the spooled text, and a session
+  known at an older version fast-forwards by content (unchanged defs
+  are still reused). Retried requests replay across workers the same
+  way. A record updated within ``ttl_s`` is live and never pruned, so
+  a missing record means the session was closed (its record deleted)
+  or expired.
 
 While the document has syntax errors the verdict payload carries the
 cold parser's exact first diagnostic, plus *per-segment* diagnostics
@@ -40,7 +43,6 @@ segments that broke since.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 import time
@@ -52,7 +54,7 @@ from ..frontend.incremental import IncrementalDocument
 from ..source import SourceFile
 from ..util import telemetry
 from ..util.diagnostics import diagnostic_payload
-from ..util.fsio import atomic_write, reap_temp_debris
+from ..util.spool import Spool
 from .pipeline import CompilerPipeline, check_report_fields
 
 __all__ = [
@@ -60,7 +62,6 @@ __all__ = [
     "DEFAULT_SESSION_TTL_S",
     "EditSession",
     "SessionManager",
-    "SessionSpool",
     "check_payload_for",
 ]
 
@@ -124,68 +125,6 @@ class EditSession:
         self.touched = time.monotonic()
 
 
-class SessionSpool:
-    """Write-then-rename session records shared by a worker fleet.
-
-    Same filesystem-only coordination as the worker board and trace
-    spool: one JSON file per session, named by a hash of the id
-    (client-supplied ids must not become path components), pruned to
-    the newest :data:`MAX_FILES`.
-    """
-
-    MAX_FILES = 256
-    _PRUNE_EVERY = 32
-
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._writes = 0
-        reap_temp_debris(self.root)
-
-    def path_for(self, session_id: str) -> Path:
-        import hashlib
-
-        digest = hashlib.sha256(session_id.encode()).hexdigest()[:32]
-        return self.root / f"{digest}.json"
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        atomic_write(self.path_for(str(record["id"])),
-                     json.dumps(record).encode(), tmp_dir=self.root)
-        with self._lock:
-            self._writes += 1
-            prune = self._writes % self._PRUNE_EVERY == 0
-        if prune:
-            self._prune()
-
-    def read(self, session_id: str) -> dict | None:
-        try:
-            return json.loads(self.path_for(session_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None                       # absent, mid-replace, torn
-
-    def delete(self, session_id: str) -> bool:
-        try:
-            self.path_for(session_id).unlink()
-            return True
-        except OSError:
-            return False
-
-    def _prune(self) -> None:
-        import contextlib
-
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        entries.sort(reverse=True)
-        for _, path in entries[self.MAX_FILES:]:
-            with contextlib.suppress(OSError):
-                path.unlink()
-
-
 class SessionManager:
     """The `/session` protocol: bounded, versioned, fleet-aware.
 
@@ -201,7 +140,8 @@ class SessionManager:
         self.pipeline = pipeline
         self.capacity = max(1, int(capacity))
         self.ttl_s = float(ttl_s)
-        self.spool = SessionSpool(spool_dir) if spool_dir else None
+        self.spool = (Spool(spool_dir, "id", live=self._fresh)
+                      if spool_dir else None)
         self._sessions: dict[str, EditSession] = {}
         self._lock = threading.Lock()
         self._counters = {
@@ -261,13 +201,17 @@ class SessionManager:
             return session
         return self._hydrate(session_id)
 
+    def _fresh(self, record: Mapping[str, Any]) -> bool:
+        """Was the spooled session updated within the idle TTL?"""
+        return time.time() - float(record.get("updated", 0.0)) <= self.ttl_s
+
     def _hydrate(self, session_id: str) -> EditSession | None:
         if self.spool is None:
             return None
         record = self.spool.read(session_id)
         if record is None:
             return None
-        if time.time() - float(record.get("updated", 0.0)) > self.ttl_s:
+        if not self._fresh(record):
             self.spool.delete(session_id)
             self._count("evicted_ttl")
             return None
@@ -292,11 +236,11 @@ class SessionManager:
         """Fast-forward a session another worker advanced.
 
         Returns ``False`` when the spool record is gone — in fleet
-        mode the spool is the source of truth, so a missing record
-        means another worker closed (or expired) the session and this
-        worker's in-memory copy is dead. The replacement goes through
-        the incremental matcher, so defs the other worker's edits did
-        not touch are still reused."""
+        mode the spool is the source of truth, and it never prunes a
+        live record, so a missing record means another worker closed
+        (or expired) the session and this worker's copy is dead. The
+        replacement goes through the incremental matcher, so defs the
+        other worker's edits did not touch are still reused."""
         if self.spool is None:
             return True
         record = self.spool.read(session.id)

@@ -1,9 +1,10 @@
-"""Atomic file publication shared by the disk cache tiers.
+"""Atomic file publication shared by every on-disk store.
 
-Both the persistent artifact tier (:mod:`repro.service.artifacts`) and
-the worker stats board (:mod:`repro.service.server`) publish files
-that concurrent uncoordinated processes read: the only sound primitive
-is write-to-temp-then-rename on one filesystem. Keeping the discipline
+The persistent artifact tier (:mod:`repro.service.artifacts`) and the
+fleet's record spools (:mod:`repro.util.spool`: the worker stats
+board, traces, sessions and jobs) publish files that concurrent
+uncoordinated processes read: the only sound primitive is
+write-to-temp-then-rename on one filesystem. Keeping the discipline
 here means a future hardening (fsync-before-rename, different temp
 naming) lands in every publisher at once.
 """
@@ -12,10 +13,16 @@ from __future__ import annotations
 
 import os
 import tempfile
+import time
 from pathlib import Path
 
 #: Prefix for in-flight publications; reap helpers key on it.
 TMP_PREFIX = ".tmp-"
+
+#: Temp files older than this are crash debris: no write-then-rename
+#: takes minutes, so they can never be another process's in-flight
+#: publication and are safe to unlink.
+TMP_MAX_AGE_S = 300.0
 
 
 def atomic_write(path: Path, data: bytes, *, tmp_dir: Path) -> bool:
@@ -40,21 +47,16 @@ def atomic_write(path: Path, data: bytes, *, tmp_dir: Path) -> bool:
     return True
 
 
-def reap_temp_debris(root: Path, *, older_than_s: float | None = None) -> None:
+def reap_temp_debris(root: Path) -> None:
     """Unlink ``.tmp-*`` files orphaned by a crash mid-publication.
 
-    With ``older_than_s`` only files stale by at least that many
-    seconds are removed, so another process's in-flight publication is
-    never touched; ``None`` reaps unconditionally (safe only when no
-    concurrent publisher can exist, e.g. a board dir at worker boot).
+    Only files older than :data:`TMP_MAX_AGE_S` go, so another
+    process's in-flight publication is never touched.
     """
-    import time
-
     now = time.time()
     for debris in root.glob(TMP_PREFIX + "*"):
         try:
-            if older_than_s is not None \
-                    and now - debris.stat().st_mtime <= older_than_s:
+            if now - debris.stat().st_mtime <= TMP_MAX_AGE_S:
                 continue
             debris.unlink()
         except OSError:

@@ -275,6 +275,9 @@ def test_jobs_resolve_across_nodes_sharing_a_spool(tmp_path):
 
 def test_identical_concurrent_dse_requests_cost_one_sweep():
     with BackgroundServer(DahliaService()) as node:
+        probe = ServiceClient(host=node.host, port=node.port)
+        before = probe.metrics()
+        probe.close()
         herd = 6
         params = {"space": "gemm-blocked", "sample": 6,
                   "mode": "frontier", "sample_seed": 11}
@@ -308,3 +311,8 @@ def test_identical_concurrent_dse_requests_cost_one_sweep():
         single = json.loads(results[0][1].decode())
         assert metrics["dse"]["points_evaluated"] \
             == single["evaluated"] * (herd - coalesced)
+        # /dse coalesces on the pipeline's singleflight, so the cache
+        # counters see every follower the /dse counter does.
+        followers = (metrics["cache"]["singleflight"]["followers"]
+                     - before["cache"]["singleflight"]["followers"])
+        assert followers == coalesced - before["dse"]["coalesced"]

@@ -26,13 +26,13 @@ from repro.service.server import (
     BackgroundServer,
     DahliaService,
     EndpointMetrics,
-    TraceSpool,
     _aggregate_metrics,
 )
 from repro.util import telemetry
 from repro.util.deadline import Deadline, DeadlineExceeded, check_deadline, \
     deadline_scope
 from repro.util.faults import FaultPlan, FaultSpec, active
+from repro.util.spool import Spool
 
 GOOD = """
 decl A: float[8 bank 2];
@@ -482,17 +482,17 @@ def test_unsampled_service_traces_nothing():
 
 
 def test_trace_spool_hashes_hostile_ids_and_prunes(tmp_path):
-    spool = TraceSpool(tmp_path)
+    spool = Spool(tmp_path, "trace_id")
     hostile = "../../etc/passwd"
     assert spool.path_for(hostile).parent == tmp_path
     spool.write({"trace_id": hostile, "spans": []})
     assert spool.read(hostile) == {"trace_id": hostile, "spans": []}
-    for index in range(TraceSpool.MAX_FILES + 2 * TraceSpool._PRUNE_EVERY):
+    for index in range(Spool.MAX_FILES + 2 * Spool._PRUNE_EVERY):
         spool.write({"trace_id": f"spool-{index}", "spans": []})
     # Pruning is periodic (every _PRUNE_EVERY writes), so the spool may
     # exceed MAX_FILES by less than one prune interval, never more.
     assert len(list(tmp_path.glob("*.json"))) \
-        < TraceSpool.MAX_FILES + TraceSpool._PRUNE_EVERY
+        < Spool.MAX_FILES + Spool._PRUNE_EVERY
 
 
 def test_spool_serves_other_workers_traces(tmp_path):
