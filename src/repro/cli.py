@@ -471,19 +471,12 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
     from .service.prewarm import prewarm_corpus
 
     cache_dir = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not cache_dir and not args.server:
-        print("cache prewarm needs --cache-dir (or $REPRO_CACHE_DIR) "
-              "or --server: warm the persistent tier a fleet shares, "
-              "or push artifacts into a running server's CAS",
-              file=sys.stderr)
+    if not cache_dir:
+        print("cache prewarm needs --cache-dir (or $REPRO_CACHE_DIR): "
+              "the persistent tier a fleet shares", file=sys.stderr)
         return 1
-    if cache_dir:
-        pipeline = CompilerPipeline(disk=cache_dir,
-                                    disk_bytes=args.cache_mb * 1024 * 1024)
-    else:
-        # --server only: warm an in-memory store sized to hold the
-        # whole walk, then push it over the wire.
-        pipeline = CompilerPipeline(capacity=4096)
+    pipeline = CompilerPipeline(disk=cache_dir,
+                                disk_bytes=args.cache_mb * 1024 * 1024)
     spin = not args.json and sys.stderr.isatty()
 
     def progress(label: str) -> None:
@@ -506,26 +499,6 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
             print(file=sys.stderr)
         print(f"error: {error}", file=sys.stderr)
         return 1
-    if args.server:
-        from .service.client import ServiceClient
-        from .service.prewarm import push_store
-
-        try:
-            client = ServiceClient.from_address(args.server)
-        except ValueError as error:
-            if spin:
-                print(file=sys.stderr)
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        try:
-            summary["push"] = push_store(
-                pipeline, client, progress=progress if spin else None)
-        except OSError as error:
-            if spin:
-                print(file=sys.stderr)
-            print(f"error: cannot reach {args.server}: {error}",
-                  file=sys.stderr)
-            return 1
     if args.trace_out:
         traces = telemetry.recent_traces(1)
         if traces:
@@ -537,17 +510,11 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(summary, indent=2))
     else:
-        target = cache_dir or f"memory (pushing to {args.server})"
         print(f"prewarmed {summary['artifacts']} artifacts from "
               f"{summary['sources']} sources "
               f"({summary['accepted']} accepted, "
               f"{summary['skipped']} already present, "
-              f"{summary['failures']} failures) into {target}")
-        if "push" in summary:
-            push = summary["push"]
-            print(f"  pushed {push['pushed']} artifacts "
-                  f"({push['bytes']} bytes) to {args.server}'s CAS, "
-                  f"{push['failed']} rejected")
+              f"{summary['failures']} failures) into {cache_dir}")
         for stage, counts in summary["per_stage"].items():
             print(f"  {stage}: {counts['warmed']} warmed, "
                   f"{counts['skipped']} skipped")
@@ -933,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(0 = the full space)")
     prewarm.add_argument("--no-corpus", action="store_true",
                          help="skip the labeled typing-rule corpus")
-    prewarm.add_argument("--server", default=None, metavar="HOST:PORT",
-                         help="push the warmed artifacts into this "
-                              "running server's CAS (PUT /cas/{digest}); "
-                              "with no --cache-dir the walk warms an "
-                              "in-memory store and only pushes")
     prewarm.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent artifact tier directory "
                               "(default: $REPRO_CACHE_DIR)")

@@ -28,7 +28,7 @@ from .artifacts import (
 from .client import ServiceClient, ServiceError
 from .jobs import JobManager, job_id_for
 from .pipeline import CompilerPipeline, dse_summary, relevant_options
-from .prewarm import prewarm_corpus, push_store
+from .prewarm import prewarm_corpus
 from .server import (
     BackgroundServer,
     DahliaService,
@@ -56,7 +56,6 @@ __all__ = [
     "encode_payload",
     "job_id_for",
     "prewarm_corpus",
-    "push_store",
     "relevant_options",
     "serve",
 ]

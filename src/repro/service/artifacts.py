@@ -25,6 +25,10 @@ The store is a three-tier hierarchy:
   blob — degrades to a plain cache miss, exactly like a failed
   ``disk.read``.
 
+Bytes from either lower tier become values only through
+:func:`decode`, which builds artifact data and calls no other code: a
+planted or peer-served blob can at worst be a miss.
+
 All operations are thread-safe — the server executes requests on a
 thread pool — and per-stage hit/miss/coalesced counters feed the
 ``/metrics`` endpoint.
@@ -34,13 +38,15 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import io
 import logging
 import os
 import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -81,6 +87,59 @@ class StageCounters:
     coalesced: int = 0
 
 
+#: numpy's own array reduction, under numpy 1's ``numpy.core`` and
+#: numpy 2's ``numpy._core``.
+_NUMPY_GLOBALS = frozenset({("numpy", "dtype")} | {
+    (f"{package}.{module}", name)
+    for package in ("numpy.core", "numpy._core")
+    for module, name in (("numeric", "_frombuffer"),
+                         ("multiarray", "_reconstruct"))})
+
+
+class _ArtifactUnpickler(pickle.Unpickler):
+    """An unpickler that builds artifact data and calls nothing else.
+
+    A global resolves only if it is numpy's array reduction, or a class
+    defined in the named ``repro`` module itself (no re-export, no
+    dotted path) that is a dataclass, an ``Enum``, a
+    :class:`~repro.errors.DahliaError` or a ``ResolvedProgram``.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        from ..errors import DahliaError
+        from ..ir.resolved import ResolvedProgram
+
+        if (module, name) == ("numpy", "ndarray"):
+            # Only as _reconstruct's subtype: called with a buffer, the
+            # class would build an object array over raw pointers.
+            return None
+        if (module, name) in _NUMPY_GLOBALS:
+            found = super().find_class(module, name)
+            if name != "_reconstruct":
+                return found
+            import numpy
+
+            return lambda _subtype, *args: found(numpy.ndarray, *args)
+        if module.split(".")[0] == "repro" and "." not in name:
+            cls = super().find_class(module, name)
+            if isinstance(cls, type) and cls.__module__ == module and (
+                    is_dataclass(cls) or cls is ResolvedProgram
+                    or issubclass(cls, (Enum, DahliaError))):
+                return cls
+        raise pickle.UnpicklingError(
+            f"{module}.{name} is not an artifact type")
+
+
+def decode(blob: bytes) -> Any:
+    """Turn stored artifact bytes back into a value, building data only.
+
+    The one bytes→value path of the store: the disk and peer tiers
+    call it on every read. Any global outside the allowlist raises, and
+    both tiers count that as ``corrupt`` and serve a miss.
+    """
+    return _ArtifactUnpickler(io.BytesIO(blob)).load()
+
+
 #: Default size cap for the persistent tier (bytes).
 DEFAULT_DISK_BYTES = 256 * 1024 * 1024
 
@@ -109,10 +168,11 @@ class DiskStore:
     * **atomic publication** — artifacts are written to a temp file in
       ``root`` and ``os.replace``d into place, so a reader never
       observes a half-written file;
-    * **corruption tolerance** — any failure to read or unpickle a
-      file (truncation, version skew, a garbage file dropped in the
-      directory) is treated as a miss and the offending file is
-      unlinked best-effort;
+    * **corruption tolerance** — any failure to read or
+      :func:`decode` a file (truncation, version skew, a garbage file
+      dropped in the directory, a global outside the allowlist) is
+      treated as a miss and the offending file is unlinked
+      best-effort;
     * **LRU by mtime** — hits refresh the file's mtime; when the tier
       exceeds ``max_bytes`` an eviction sweep unlinks the stalest
       files until it is back under ``_EVICT_TO`` of the cap. Sweeps
@@ -151,15 +211,15 @@ class DiskStore:
         path = self.path_for(key)
         try:
             fault_point("disk.read")          # chaos drills: corrupt read
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
+            value = decode(path.read_bytes())
         except FileNotFoundError:
             with self._lock:
                 self.misses += 1
             return default
         except Exception:
-            # Truncated write, pickle drift, or plain garbage: drop the
-            # file and treat it as a miss — the stage just recomputes.
+            # Truncated write, pickle drift, a disallowed global, or
+            # plain garbage: drop the file and treat it as a miss — the
+            # stage just recomputes.
             with self._lock:
                 self.corrupt += 1
                 self.misses += 1
@@ -332,15 +392,17 @@ class RemoteStore:
 
     * connection refused / timeout / non-200 → miss (``errors``);
     * blob whose SHA-256 disagrees with the peer's ``X-CAS-Sha256``
-      header, or that fails to unpickle → miss (``corrupt``) — a
-      half-dead peer can cost latency but never wrong answers;
+      header, or that fails to :func:`decode` → miss (``corrupt``) — a
+      half-dead peer can cost latency but never run code;
     * ``fault_point("remote.read")`` lets chaos drills inject all of
       the above.
 
     The tier is deliberately read-only: artifacts flow *into* a node
-    via its own computes, its disk, or an explicit ``cache prewarm
-    --server`` push — a lookup never writes to a peer, so probe storms
-    cannot amplify into write storms.
+    via its own computes, a shared cache directory, or this verified
+    pull. No route accepts pushed bytes, and a lookup never writes to
+    a peer, so probe storms cannot amplify into write storms. The
+    checksum proves transit only: peers are trusted to hold correct
+    values, never to run code.
     """
 
     def __init__(self, peers: list[str] | tuple[str, ...],
@@ -367,7 +429,7 @@ class RemoteStore:
             if blob is None:
                 continue
             try:
-                value = pickle.loads(blob)
+                value = decode(blob)
             except Exception:
                 with self._lock:
                     self.corrupt += 1
@@ -555,38 +617,6 @@ class ArtifactStore:
             except OSError:
                 return None
         return None
-
-    def import_blob(self, key: ArtifactKey, blob: bytes) -> bool:
-        """Install a transported blob into the local tiers.
-
-        Backs the ``PUT /cas/{digest}`` route (prewarm pushes). The
-        blob must unpickle — a garbage payload is rejected, not
-        cached, so a confused client cannot poison the store.
-        """
-        try:
-            value = pickle.loads(blob)
-        except Exception:
-            return False
-        self.put(key, value)
-        return True
-
-    def export_blobs(self) -> list[tuple[ArtifactKey, bytes]]:
-        """Snapshot every memory-tier artifact as ``(key, blob)`` pairs.
-
-        Used by ``cache prewarm --server`` to push a freshly warmed
-        working set into a remote node's CAS. Unpicklable values are
-        skipped — they could never cross the wire anyway.
-        """
-        with self._lock:
-            items = list(self._entries.items())
-        blobs = []
-        for key, value in items:
-            try:
-                blobs.append((key, pickle.dumps(
-                    value, protocol=pickle.HIGHEST_PROTOCOL)))
-            except Exception:
-                continue
-        return blobs
 
     def __len__(self) -> int:
         with self._lock:

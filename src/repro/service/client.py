@@ -151,10 +151,10 @@ class ServiceClient:
                   ) -> tuple[int, bytes, float | None]:
         """One attempt: ``(status, body, Retry-After seconds or None)``.
 
-        A ``bytes`` payload is sent verbatim as an octet stream (the
-        ``/cas`` PUT path); a mapping is JSON-encoded. When the
-        thread's reused keep-alive socket turns out stale, the request
-        is re-sent once on a fresh socket before any error escapes.
+        A ``bytes`` payload is sent verbatim as an octet stream; a
+        mapping is JSON-encoded. When the thread's reused keep-alive
+        socket turns out stale, the request is re-sent once on a fresh
+        socket before any error escapes.
         """
         if isinstance(payload, (bytes, bytearray)):
             body: bytes | None = bytes(payload)
@@ -494,19 +494,6 @@ class ServiceClient:
                                    f"checksum in transit"},
                     request_id=self.last_request_id)
         return body
-
-    def cas_put(self, stage: str, digest: str, blob: bytes) -> dict:
-        """Push one pickled artifact blob into the server's CAS.
-
-        The blob's sha256 rides the query string; the server verifies
-        it (and that the blob unpickles) before admitting the
-        artifact, so a corrupt upload is rejected with a 400, never
-        silently cached.
-        """
-        checksum = hashlib.sha256(blob).hexdigest()
-        return self.request(
-            "PUT", f"/cas/{digest}?stage={stage}&sha256={checksum}",
-            bytes(blob))
 
     def cas_stats(self) -> dict:
         """The server's CAS counters (``GET /cas``)."""

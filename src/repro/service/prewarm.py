@@ -14,11 +14,10 @@ endpoint and of any running server; ``dahlia-py cache prewarm`` is the
 CLI face. Because artifact keys are content-addressed, prewarming is
 idempotent and safe to run concurrently with live traffic.
 
-A warm cache can also be **pushed** to a running server's remote CAS
-(:func:`push_store`, ``cache prewarm --server HOST:PORT``): every
-artifact in the local store is ``PUT`` to ``/cas/{digest}``, so a
-fleet node — or its peers, via the remote tier — starts answering
-from these artifacts without sharing a filesystem with the warmer.
+Warming writes only to the pipeline's own tiers; no server accepts
+pushed artifacts. A node without the shared directory gets these
+artifacts by a verified ``serve --peers`` fetch from a node that has
+them.
 """
 
 from __future__ import annotations
@@ -169,35 +168,3 @@ def prewarm_corpus(pipeline: CompilerPipeline,
         "stages": list(stages),
         "store": pipeline.stats(),
     }
-
-
-def push_store(pipeline: CompilerPipeline, client,
-               *,
-               progress: Callable[[str], None] | None = None) -> dict:
-    """``PUT`` every artifact in ``pipeline``'s store to a server CAS.
-
-    ``client`` is a :class:`~repro.service.client.ServiceClient` (any
-    object with a ``cas_put(stage, digest, blob)`` method works). The
-    server re-verifies each blob's checksum and that it unpickles
-    before admitting it, so a rejected blob is counted in ``failed``
-    and the push continues — one bad artifact cannot abort a warm-up
-    push. Connection-level errors (``OSError``) propagate: a dead
-    server should fail the push loudly, not count every blob as
-    failed. Returns ``{"pushed": ..., "failed": ..., "bytes": ...}``.
-    """
-    from .client import ServiceError
-
-    pushed = 0
-    failed = 0
-    total_bytes = 0
-    for key, blob in pipeline.store.export_blobs():
-        try:
-            client.cas_put(key.stage, key.digest, blob)
-        except ServiceError:   # rejected blob — push is best-effort
-            failed += 1
-        else:
-            pushed += 1
-            total_bytes += len(blob)
-        if progress is not None:
-            progress(f"push:{key.stage}:{key.digest[:12]}")
-    return {"pushed": pushed, "failed": failed, "bytes": total_bytes}

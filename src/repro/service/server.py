@@ -13,10 +13,10 @@ Endpoints (all JSON bodies):
   registers a spooled job instead and returns its id immediately;
 * ``GET /jobs``      — async job records: listing, ``/jobs/{id}``
   status polls, and ``/jobs/{id}/stream`` NDJSON frontier tails;
-* ``GET/PUT /cas``   — the content-addressed artifact exchange:
-  ``/cas/{digest}?stage=…`` serves (and accepts) raw artifact blobs
-  so peered nodes (``serve --peers``) fetch each other's warm
-  artifacts instead of recomputing them;
+* ``GET /cas``       — the read-only content-addressed artifact
+  exchange: ``/cas/{digest}?stage=…`` serves raw artifact blobs so
+  peered nodes (``serve --peers``) fetch each other's warm artifacts
+  instead of recomputing them;
 * ``GET /healthz``   — liveness probe;
 * ``GET /metrics``   — per-endpoint latency counters + artifact-cache
   hit/miss statistics;
@@ -55,6 +55,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import socket
 import tempfile
 import threading
@@ -393,7 +394,7 @@ class DahliaService:
         self._dse = {"requests": 0, "coalesced": 0, "async_jobs": 0,
                      "frontier_requests": 0, "stream_requests": 0,
                      "frontier_updates": 0, "points_evaluated": 0}
-        self._cas = {"served": 0, "stored": 0}
+        self._cas = {"served": 0}
         #: Identical concurrent /dse submissions (keyed on the
         #: canonical job digest) coalesce on the pipeline's
         #: singleflight, so a herd of N identical sweeps costs one
@@ -870,7 +871,7 @@ class DahliaService:
         if path == "/session" or path.startswith("/session/"):
             return self._dispatch_session(method, path, body, request_id)
         if path == "/cas" or path.startswith("/cas/"):
-            return self._dispatch_cas(method, path, params, body)
+            return self._dispatch_cas(method, path, params)
         if path == "/jobs" or path.startswith("/jobs/"):
             return self._dispatch_jobs(method, path, params)
         if method == "GET":
@@ -901,63 +902,48 @@ class DahliaService:
         return 200, self.respond(endpoint, request)
 
     def _dispatch_cas(self, method: str, path: str,
-                      params: Mapping[str, list[str]],
-                      body: bytes) -> tuple[int, Any]:
-        """The content-addressed artifact exchange.
+                      params: Mapping[str, list[str]]) -> tuple[int, Any]:
+        """The read-only content-addressed artifact exchange.
 
         ``GET /cas/{digest}?stage=…`` serves the raw pickle blob from
         the *local* tiers (memory peek or disk file — never a peer
         probe, so mutually-peered fleets cannot recurse), with its
-        SHA-256 in ``X-CAS-Sha256`` for the fetcher to verify. ``PUT
-        /cas/{digest}?stage=…&sha256=…`` installs a pushed blob after
-        verifying the checksum and that it decodes (``cache prewarm
-        --server``). Bare ``GET /cas`` reports exchange counters.
+        SHA-256 in ``X-CAS-Sha256`` for the fetcher to verify. Bare
+        ``GET /cas`` reports exchange counters. Nothing accepts blobs:
+        a key names its input, so a pushed value could not be checked.
         """
-        if method not in ("GET", "PUT"):
+        if method != "GET":
             return 405, {"ok": False,
                          "error": f"method {method} not allowed"}
         digest = path[len("/cas/"):] if path.startswith("/cas/") else ""
         if not digest:
-            if method == "GET":
-                remote = self.pipeline.store.remote
-                with self._metrics_lock:
-                    counters = dict(self._cas)
-                return 200, {
-                    "ok": True,
-                    "cas": counters,
-                    "remote": remote.stats() if remote else None,
-                }
-            raise BadRequest("PUT requires a digest: /cas/{digest}")
-        if "/" in digest:
+            remote = self.pipeline.store.remote
+            with self._metrics_lock:
+                counters = dict(self._cas)
+            return 200, {
+                "ok": True,
+                "cas": counters,
+                "remote": remote.stats() if remote else None,
+            }
+        # Digest and stage name a disk-tier file: refuse anything but
+        # a SHA-256 digest and a stage name before a path is built.
+        if not re.fullmatch(r"[0-9a-f]{64}", digest):
             return 404, {"ok": False,
                          "error": f"no such endpoint {path!r}"}
         stage = (params.get("stage") or [""])[0]
         if not stage:
             raise BadRequest('query parameter "stage" is required')
         key = ArtifactKey(stage, digest)
-        if method == "GET":
-            blob = self.pipeline.store.peek_blob(key)
-            if blob is None:
-                return 404, {"ok": False,
-                             "error": f"no artifact {key}"}
-            with self._metrics_lock:
-                self._cas["served"] += 1
-            return 200, RawPayload(blob, headers={
-                "X-CAS-Sha256": hashlib.sha256(blob).hexdigest(),
-                "X-CAS-Stage": stage,
-            })
-        expected = (params.get("sha256") or [""])[0]
-        if not expected:
-            raise BadRequest('query parameter "sha256" is required '
-                             'for PUT')
-        if hashlib.sha256(body).hexdigest() != expected:
-            raise BadRequest("blob checksum mismatch (corrupt upload)")
-        if not self.pipeline.store.import_blob(key, body):
-            raise BadRequest("blob does not decode as an artifact")
+        blob = (self.pipeline.store.peek_blob(key)
+                if re.fullmatch(r"[a-z_]+", stage) else None)
+        if blob is None:
+            return 404, {"ok": False, "error": f"no artifact {key}"}
         with self._metrics_lock:
-            self._cas["stored"] += 1
-        return 200, {"ok": True, "stored": True, "stage": stage,
-                     "digest": digest}
+            self._cas["served"] += 1
+        return 200, RawPayload(blob, headers={
+            "X-CAS-Sha256": hashlib.sha256(blob).hexdigest(),
+            "X-CAS-Stage": stage,
+        })
 
     def _job_payload(self, record: Mapping[str, Any]) -> dict:
         payload = {

@@ -42,7 +42,7 @@ def _aggregate_metrics(records: list[dict]) -> dict:
                            "async_jobs": 0,
                            "frontier_requests": 0, "stream_requests": 0,
                            "frontier_updates": 0, "points_evaluated": 0}
-    cas: dict[str, int] = {"served": 0, "stored": 0}
+    cas: dict[str, int] = {"served": 0}
     jobs: dict[str, int] = {"submitted": 0, "coalesced": 0,
                             "completed": 0, "failed": 0}
     disk: dict | None = None

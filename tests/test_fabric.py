@@ -11,7 +11,6 @@ node sharing the spool directory.
 
 import hashlib
 import json
-import pickle
 import threading
 import time
 
@@ -94,27 +93,24 @@ def test_dead_peer_degrades_to_cache_miss(tmp_path):
         assert remote["errors"] > 0
 
 
-def test_corrupt_peer_response_is_rejected(tmp_path):
-    """A peer serving bytes that fail their checksum is a miss.
+def fetch_through_tampered_peer(tmp_path, source, tamper):
+    """Serve ``source`` from node B, whose one peer A holds tampered files.
 
-    Node A's disk copy of an artifact is flipped underneath it; B's
-    remote fetch must detect the mismatch (or the unpickle failure),
-    count it, and recompute locally rather than trust the bytes.
+    Node A computes ``source`` once; then ``tamper(path)`` rewrites
+    every artifact file on A's disk, and A restarts with an empty
+    memory tier, so its CAS route serves the tampered bytes under a
+    checksum header that matches them. Returns A's original
+    ``(status, body)``, B's ``(status, body)``, and B's remote-tier
+    counters.
     """
-    source = make_source(3)
     with BackgroundServer(DahliaService(cache_dir=tmp_path / "a")) as warm:
         client = ServiceClient(host=warm.host, port=warm.port)
-        expected_status, expected_body = client.raw(
-            "POST", "/check", {"source": source})
-        assert expected_status == 200
+        expected = client.raw("POST", "/check", {"source": source})
 
-    # Corrupt every disk artifact, then restart node A with an empty
-    # memory tier so its CAS route serves the corrupted disk bytes.
-    corrupted = 0
-    for path in (tmp_path / "a").rglob("*.pkl"):
-        path.write_bytes(b"\x00garbage\x00" + path.read_bytes()[:16])
-        corrupted += 1
-    assert corrupted > 0
+    paths = list((tmp_path / "a").rglob("*.pkl"))
+    assert paths
+    for path in paths:
+        tamper(path)
 
     with BackgroundServer(DahliaService(cache_dir=tmp_path / "a")) as node_a:
         service_b = DahliaService(
@@ -122,12 +118,27 @@ def test_corrupt_peer_response_is_rejected(tmp_path):
             peers=[f"{node_a.host}:{node_a.port}"])
         with BackgroundServer(service_b) as node_b:
             client_b = ServiceClient(host=node_b.host, port=node_b.port)
-            status, body = client_b.raw("POST", "/check",
-                                        {"source": source})
-            assert (status, body) == (expected_status, expected_body)
+            served = client_b.raw("POST", "/check", {"source": source})
             remote = client_b.metrics()["cache"]["remote"]
-            assert remote["hits"] == 0
-            assert remote["corrupt"] > 0
+    return expected, served, remote
+
+
+def test_corrupt_peer_response_is_rejected(tmp_path):
+    """A peer serving bytes that fail to decode is a miss.
+
+    Node A's disk copy of an artifact is flipped underneath it; B's
+    remote fetch must detect the mismatch (or the decode failure),
+    count it, and recompute locally rather than trust the bytes.
+    """
+    def corrupt(path):
+        path.write_bytes(b"\x00garbage\x00" + path.read_bytes()[:16])
+
+    expected, served, remote = fetch_through_tampered_peer(
+        tmp_path, make_source(3), corrupt)
+    assert expected[0] == 200
+    assert served == expected
+    assert remote["hits"] == 0
+    assert remote["corrupt"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -148,29 +159,18 @@ def test_cas_roundtrip_and_rejections(tmp_path):
         assert client.cas_get(key.stage, key.digest) == blob
         # Unknown digest: None, not an error.
         assert client.cas_get(key.stage, "0" * 64) is None
-        # PUT roundtrip (idempotent by content addressing).
-        stored = client.cas_put(key.stage, key.digest, blob)
-        assert stored["ok"] and stored["stored"]
-
-        # PUT with a checksum that does not match the body: rejected.
-        checksum = hashlib.sha256(b"other").hexdigest()
-        status, body = client.raw(
+        # The exchange is read-only: even a well-formed push of the
+        # node's own blob is not a method /cas serves.
+        status, _ = client.raw(
             "PUT", f"/cas/{key.digest}?stage={key.stage}"
-                   f"&sha256={checksum}", blob)
-        assert status == 400
-        # PUT of bytes that are not a pickled artifact: rejected.
-        junk = b"not a pickle"
-        status, body = client.raw(
-            "PUT", f"/cas/{key.digest}?stage={key.stage}"
-                   f"&sha256={hashlib.sha256(junk).hexdigest()}", junk)
-        assert status == 400
+                   f"&sha256={hashlib.sha256(blob).hexdigest()}", blob)
+        assert status == 405
         # Missing stage parameter: rejected.
         status, _ = client.raw("GET", f"/cas/{key.digest}")
         assert status == 400
 
         counters = client.cas_stats()["cas"]
-        assert counters["served"] == 1
-        assert counters["stored"] == 1
+        assert counters == {"served": 1}
 
 
 # ---------------------------------------------------------------------------

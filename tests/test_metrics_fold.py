@@ -110,7 +110,7 @@ def snapshots(draw, fleet: dict) -> dict:
                      "segments": draw(counters("reparsed", "reused",
                                                "relocated"))},
         "dse": draw(counters(*DSE_COUNTERS)),
-        "cas": draw(counters("served", "stored")),
+        "cas": draw(counters("served")),
         "jobs": {**draw(counters("submitted", "coalesced", "completed",
                                  "failed", "owned")),
                  "states": draw(st.dictionaries(
