@@ -39,12 +39,8 @@ import json
 import sys
 from typing import Callable
 
-from .backend.hls_cpp import EmitterOptions, compile_program
 from .errors import DahliaError
 from .frontend.parser import parse
-from .hls.estimator import estimate
-from .hls.extract import extract_kernel
-from .interp.interpreter import interpret_program
 from .source import SourceFile
 from .suite.generators import DSE_FAMILIES
 from .types.checker import check_program
@@ -71,7 +67,8 @@ def _diagnose(error: DahliaError, source: SourceFile,
 
 
 def _remote_diagnose(payload: dict, as_json: bool) -> int:
-    """Render a service ``{"ok": false}`` payload like a local error."""
+    """Render a ``{"ok": false}`` payload (served or computed in
+    process) exactly as a local error prints."""
     from .util.diagnostics import render_diagnostic
 
     diagnostic = payload.get("diagnostic") or {}
@@ -82,22 +79,17 @@ def _remote_diagnose(payload: dict, as_json: bool) -> int:
     return 1
 
 
-def source_command(remote: Callable[[argparse.Namespace, "object", str],
-                                    int] | None = None):
+def source_command():
     """Wrap a ``worker(args, text, source)`` with the shared boilerplate.
 
-    Loads the file, renders :class:`DahliaError` diagnostics (text or
-    ``--json``), and — when the subcommand supports it and ``--server``
-    is given — dispatches to a running service via ``remote(args,
-    client, text)`` instead of running the local worker.
+    Loads the file and renders :class:`DahliaError` diagnostics (text
+    or ``--json``).
     """
     def wrap(worker: Callable[[argparse.Namespace, str, SourceFile], int]):
         @functools.wraps(worker)
         def runner(args: argparse.Namespace) -> int:
             text, source = _load(args.file)
             as_json = bool(getattr(args, "json", False))
-            if remote is not None and getattr(args, "server", None):
-                return _run_remote(args, text, remote)
             try:
                 return worker(args, text, source)
             except DahliaError as error:
@@ -107,16 +99,42 @@ def source_command(remote: Callable[[argparse.Namespace, "object", str],
     return wrap
 
 
-def _run_remote(args: argparse.Namespace, text: str,
-                remote: Callable) -> int:
-    from .service.client import ServiceClient, ServiceError
+def served_command(endpoint: str,
+                   options: Callable[[argparse.Namespace], dict]
+                   = lambda args: {}):
+    """Wrap a ``render(args, payload)`` of a servable subcommand.
 
-    try:
-        client = ServiceClient.from_address(args.server)
-        return remote(args, client, text)
-    except (ServiceError, ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+    The payload is the ``{endpoint}_payload`` pipeline stage for the
+    file: answered by a running service (``POST /{endpoint}``) with
+    ``--server``, else computed by an in-process pipeline — the same
+    bytes either way, so one renderer prints both, and a rejection is
+    rendered from its diagnostic payload.
+    """
+    def wrap(render: Callable[[argparse.Namespace, dict], None]):
+        @functools.wraps(render)
+        def runner(args: argparse.Namespace) -> int:
+            text, _ = _load(args.file)
+            if args.server:
+                from .service.client import ServiceClient, ServiceError
+
+                try:
+                    payload = ServiceClient.from_address(args.server) \
+                        .request("POST", f"/{endpoint}",
+                                 {"source": text, **options(args)})
+                except (ServiceError, ValueError, OSError) as error:
+                    print(f"error: {error}", file=sys.stderr)
+                    return 1
+            else:
+                from .service.pipeline import CompilerPipeline
+
+                payload = CompilerPipeline().run(f"{endpoint}_payload",
+                                                 text, options(args))
+            if not payload["ok"]:
+                return _remote_diagnose(payload, args.json)
+            render(args, payload)
+            return 0
+        return runner
+    return wrap
 
 
 def _print_memories(memories: dict[str, list]) -> None:
@@ -126,7 +144,7 @@ def _print_memories(memories: dict[str, list]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# check
+# check / compile / run / estimate (servable: ``--server HOST:PORT``)
 # ---------------------------------------------------------------------------
 
 def _check_ok_line(file: str, memories: int, max_replication: int) -> str:
@@ -134,97 +152,26 @@ def _check_ok_line(file: str, memories: int, max_replication: int) -> str:
             f"max replication {max_replication})")
 
 
-def _remote_check(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.check(text)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@served_command("check")
+def cmd_check(args: argparse.Namespace, payload: dict) -> None:
     print(_check_ok_line(args.file, payload["memories"],
                          payload["max_replication"]))
-    return 0
 
 
-@source_command(remote=_remote_check)
-def cmd_check(args: argparse.Namespace, text: str,
-              source: SourceFile) -> int:
-    report = check_program(parse(text, args.file))
-    print(_check_ok_line(args.file, len(report.memories),
-                         report.max_replication))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# compile
-# ---------------------------------------------------------------------------
-
-def _remote_compile(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.compile(text, erase=args.erase,
-                             kernel_name=args.kernel_name)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@served_command("compile", lambda args: {"erase": args.erase,
+                                         "kernel_name": args.kernel_name})
+def cmd_compile(args: argparse.Namespace, payload: dict) -> None:
     print(payload["cpp"], end="")
-    return 0
 
 
-@source_command(remote=_remote_compile)
-def cmd_compile(args: argparse.Namespace, text: str,
-                source: SourceFile) -> int:
-    program = parse(text, args.file)
-    check_program(program)
-    options = EmitterOptions(erase=args.erase,
-                             kernel_name=args.kernel_name)
-    print(compile_program(program, options), end="")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# run
-# ---------------------------------------------------------------------------
-
-def _remote_run(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.interp(text, check=not args.no_check)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@served_command("interp", lambda args: {"check": not args.no_check})
+def cmd_run(args: argparse.Namespace, payload: dict) -> None:
     _print_memories(payload["memories"])
-    return 0
 
 
-@source_command(remote=_remote_run)
-def cmd_run(args: argparse.Namespace, text: str,
-            source: SourceFile) -> int:
-    from .service.pipeline import interp_memory_fields
-
-    result = interpret_program(parse(text, args.file),
-                               check=not args.no_check)
-    _print_memories(interp_memory_fields(result))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# estimate
-# ---------------------------------------------------------------------------
-
-def _remote_estimate(args: argparse.Namespace, client, text: str) -> int:
-    payload = client.estimate(text)
-    if not payload["ok"]:
-        return _remote_diagnose(payload, args.json)
+@served_command("estimate")
+def cmd_estimate(args: argparse.Namespace, payload: dict) -> None:
     print(json.dumps(payload["report"], indent=2))
-    return 0
-
-
-@source_command(remote=_remote_estimate)
-def cmd_estimate(args: argparse.Namespace, text: str,
-                 source: SourceFile) -> int:
-    from .service.pipeline import estimate_report_fields
-
-    program = parse(text, args.file)
-    check_program(program)
-    # Deliberately not named after the file: the kernel name seeds the
-    # estimator's deterministic noise, and estimates must be a pure
-    # function of source *content* so they agree with the service's
-    # content-addressed cache.
-    kernel = extract_kernel(program)
-    print(json.dumps(estimate_report_fields(estimate(kernel)), indent=2))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -529,22 +476,23 @@ def cmd_cache_prewarm(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service.server import serve
+    from .service.fleet import ServeConfig, serve
 
-    peers = ([peer.strip() for peer in args.peers.split(",")
-              if peer.strip()]
-             if args.peers else None)
-    serve(host=args.host, port=args.port, capacity=args.capacity,
-          max_inflight=args.max_inflight, dse_workers=args.dse_workers,
-          workers=args.workers, peers=peers, cache_dir=args.cache_dir,
-          cache_bytes=args.cache_mb * 1024 * 1024,
-          request_timeout=args.request_timeout or None,
-          queue_depth=args.queue_depth if args.queue_depth > 0 else None,
-          fault_plan=args.fault_plan,
-          trace_sample=args.trace_sample,
-          slow_request_ms=args.slow_request_ms or None,
-          max_sessions=args.max_sessions,
-          session_ttl=args.session_ttl)
+    peers = tuple(peer.strip() for peer in (args.peers or "").split(",")
+                  if peer.strip())
+    serve(ServeConfig(
+        host=args.host, port=args.port, capacity=args.capacity,
+        max_inflight=args.max_inflight, dse_workers=args.dse_workers,
+        workers=args.workers, peers=peers or None,
+        cache_dir=args.cache_dir,
+        cache_bytes=args.cache_mb * 1024 * 1024,
+        request_timeout=args.request_timeout or None,
+        queue_depth=args.queue_depth if args.queue_depth > 0 else None,
+        fault_plan=args.fault_plan,
+        trace_sample=args.trace_sample,
+        slow_request_ms=args.slow_request_ms or None,
+        max_sessions=args.max_sessions,
+        session_ttl=args.session_ttl))
     return 0
 
 

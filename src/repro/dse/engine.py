@@ -795,16 +795,31 @@ def parallel_map(function: Callable[[Any], Any],
 
     Falls back to an inline loop for a single worker (or a single
     item), so results are identical regardless of the worker count.
+    The mapped functions are pure, so when a pool worker dies the
+    items it left unanswered are redone inline (a ``dse.lost_worker``
+    span event records it) instead of being waited on forever.
     """
     materialized = list(items)
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or len(materialized) <= 1:
         return [function(item) for item in materialized]
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     size = (chunk_size if chunk_size and chunk_size > 0
             else default_chunk_size(len(materialized), n_workers))
-    context = _pool_context()
-    with context.Pool(processes=min(n_workers, len(materialized)),
-                      initializer=_init_map_worker,
-                      initargs=(function,)) as pool:
-        return list(pool.imap(_run_map_item, materialized,
-                              chunksize=size))
+    results: list[Any] = []
+    try:
+        with ProcessPoolExecutor(
+                max_workers=min(n_workers, len(materialized)),
+                mp_context=_pool_context(),
+                initializer=_init_map_worker,
+                initargs=(function,)) as pool:
+            results.extend(pool.map(_run_map_item, materialized,
+                                    chunksize=size))
+    except BrokenProcessPool:
+        telemetry.add_event("dse.lost_worker",
+                            redone=len(materialized) - len(results))
+        results.extend(function(item)
+                       for item in materialized[len(results):])
+    return results

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import InterpError, StuckError
+from ..util.deadline import check_deadline
 from .syntax import (
     CAssign,
     CExpr,
@@ -228,6 +229,9 @@ def eval_cmd(store: Store, rho: Rho, cmd: FCmd) -> Rho:
         result = dict(rho)
         iterations = 0
         while store.vars[cmd.cond]:
+            # A served request's budget stops the loop here (a no-op
+            # outside a request), freeing its thread for the next one.
+            check_deadline()
             result = rho_join(result, eval_cmd(store, dict(initial), cmd.body))
             iterations += 1
             if iterations > 10_000_000:

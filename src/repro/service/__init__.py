@@ -1,6 +1,4 @@
-"""Compiler-as-a-service subsystem.
-
-Three layers, bottom up:
+"""Compiler-as-a-service subsystem, bottom up:
 
 * :mod:`repro.service.artifacts` — a content-addressed, LRU-bounded
   artifact store memoizing stage results across requests;
@@ -11,11 +9,16 @@ Three layers, bottom up:
   (``dahlia-py cache prewarm``);
 * :mod:`repro.service.jobs`     — spool-backed async ``/dse`` jobs
   (submit, poll, tail) deduplicated by deterministic job id;
-* :mod:`repro.service.server` / :mod:`repro.service.client` — a
-  stdlib-only asyncio JSON-over-HTTP server (``dahlia-py serve``) and
-  its keep-alive client (used by the ``--server`` CLI mode). A fleet
-  of servers federates artifact stores over ``/cas/{digest}``
-  (``serve --peers``).
+* :mod:`repro.service.server`    — the route table and the endpoint
+  logic behind it (:class:`DahliaService`), independent of transport;
+* :mod:`repro.service.transport` — the stdlib-only asyncio HTTP
+  transport: framing, chunked NDJSON, admission and deadlines;
+* :mod:`repro.service.fleet`     — ``dahlia-py serve``: one serving
+  process or a prefork fleet sharing a port, its stats board, and the
+  :class:`ServeConfig` every worker is built from;
+* :mod:`repro.service.client`    — the keep-alive client (used by the
+  ``--server`` CLI mode). A fleet of servers federates artifact stores
+  over ``/cas/{digest}`` (``serve --peers``).
 """
 
 from .artifacts import (
@@ -29,14 +32,9 @@ from .client import ServiceClient, ServiceError
 from .jobs import JobManager, job_id_for
 from .pipeline import CompilerPipeline, dse_summary, relevant_options
 from .prewarm import prewarm_corpus
-from .server import (
-    BackgroundServer,
-    DahliaService,
-    ServiceServer,
-    WorkerBoard,
-    encode_payload,
-    serve,
-)
+from .fleet import ServeConfig, WorkerBoard, serve
+from .server import DahliaService, encode_payload
+from .transport import BackgroundServer, ServiceServer
 
 __all__ = [
     "ArtifactKey",
@@ -47,6 +45,7 @@ __all__ = [
     "DiskStore",
     "JobManager",
     "RemoteStore",
+    "ServeConfig",
     "ServiceClient",
     "ServiceError",
     "ServiceServer",

@@ -238,6 +238,24 @@ def test_deadline_free_routes_are_unlimited():
         assert client.check(make_source(2))["ok"] is True
 
 
+def test_interpreter_stops_at_the_request_deadline():
+    """An over-budget /interp stops inside the interpreter's loop, so
+    the 503 frees the only executor thread for the next request
+    instead of leaving it to run the loop to its end."""
+    looping = ("decl A: float[4];\nlet i = 0;\nwhile (i < 1000000) {\n"
+               "  A[0] := 1.0;\n  ---\n  i := i + 1;\n}\n")
+    with BackgroundServer(DahliaService(), threads=1,
+                          request_timeout=0.5) as server:
+        client = ServiceClient(port=server.port, timeout=60)
+        status, body = client.raw("POST", "/interp", {"source": looping})
+        started = time.monotonic()
+        assert client.check(make_source(3))["ok"] is True
+        elapsed = time.monotonic() - started
+    assert status == 503
+    assert json.loads(body.decode())["deadline_exceeded"] is True
+    assert elapsed < 2.0
+
+
 # ---------------------------------------------------------------------------
 # Admission control: bounded queue sheds with 429 + Retry-After.
 # ---------------------------------------------------------------------------

@@ -269,3 +269,79 @@ def test_parallel_map_order_preserved():
         [x * x for x in items]
     assert parallel_map(_square, items, workers=3) == \
         [x * x for x in items]
+
+
+# -- a pool worker that dies --------------------------------------------------
+
+#: Runs in a child interpreter, so a map that waits forever on a dead
+#: worker fails the test by timeout instead of hanging the suite.
+#: ``argv``: the flag file the first dying worker creates, the mode.
+_DIE_ONCE_SCRIPT = """
+import json, os, sys
+
+from repro.dse import parallel_map, sweep
+from repro.suite import stencil2d_kernel, stencil2d_source, stencil2d_space
+
+FLAG, MODE, PARENT = sys.argv[1], sys.argv[2], os.getpid()
+
+
+def die_once():
+    # The first pool worker to get here exits; the parent never does.
+    if os.getpid() != PARENT:
+        try:
+            os.close(os.open(FLAG, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return
+        os._exit(3)
+
+
+def square_once(x):
+    die_once()
+    return x * x
+
+
+def kernel_once(config):
+    die_once()
+    return stencil2d_kernel(config)
+
+
+if MODE == "map":
+    print(json.dumps(parallel_map(square_once, list(range(40)),
+                                  workers=2)))
+else:
+    configs = list(stencil2d_space().sample(60))
+    runs = [sweep(configs, stencil2d_source, kernel, workers=workers,
+                  mode="frontier")
+            for workers, kernel in ((1, stencil2d_kernel),
+                                    (2, kernel_once))]
+    print(json.dumps([repr((result.frontier_indices, result.trajectory,
+                            result.converged, result.candidates,
+                            [point.report for point in result.frontier]))
+                      for result in runs]))
+"""
+
+
+def _run_die_once(tmp_path, mode):
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _DIE_ONCE_SCRIPT, str(tmp_path / "died"),
+         mode], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "died").exists()      # a worker really died
+    return json.loads(done.stdout)
+
+
+def test_parallel_map_survives_a_worker_dying(tmp_path):
+    assert _run_die_once(tmp_path, "map") == [x * x for x in range(40)]
+
+
+def test_frontier_sweep_survives_a_worker_dying(tmp_path):
+    one_worker, two_workers = _run_die_once(tmp_path, "frontier")
+    assert two_workers == one_worker

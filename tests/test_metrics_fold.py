@@ -1,6 +1,6 @@
 """Differential tests: the structural fleet fold against the hand fold.
 
-``repro.service.server._aggregate_metrics`` folds per-worker
+``repro.service.fleet._aggregate_metrics`` folds per-worker
 ``/metrics`` snapshots by their shape: numbers sum, ``max_ms`` takes
 the max, a short table of shared-state keys comes from the freshest
 snapshot, and ratios are recomputed. ``tests/oracles/metrics_fold.py``
@@ -22,8 +22,8 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.service.server import EndpointMetrics, WorkerBoard, \
-    _aggregate_metrics
+from repro.service.fleet import WorkerBoard, _aggregate_metrics
+from repro.service.server import EndpointMetrics
 
 from oracles.metrics_fold import _aggregate_metrics as oracle_fold
 

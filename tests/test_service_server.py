@@ -369,3 +369,147 @@ def test_client_address_parsing():
     assert (client.host, client.port) == ("10.0.0.2", 8081)
     with pytest.raises(ValueError):
         ServiceClient.from_address("nonsense")
+
+
+# ---------------------------------------------------------------------------
+# the routing surface, pinned request by request
+# ---------------------------------------------------------------------------
+
+CAS_KEY = "/cas/" + "0" * 64
+NO_JSON = ("body is not valid JSON: Expecting property name enclosed in "
+           "double quotes: line 1 column 2 (char 1)")
+NO_SOURCE = 'request must carry a string "source" field'
+STREAM_ASYNC = (b'{"space": "stencil2d", "mode": "frontier", '
+                b'"stream": true, "async": true}')
+STREAM_BAD_SAMPLE = (b'{"space": "stencil2d", "mode": "frontier", '
+                     b'"stream": true, "sample": "many"}')
+
+
+def _not_allowed(method):
+    return f"method {method} not allowed"
+
+
+def _no_endpoint(path):
+    return f"no such endpoint {path!r}"
+
+
+def _sweep(path, get, post, delete=405, put=405):
+    """One path under GET, POST, DELETE and PUT: ``(status, expected)``
+    pairs, where an int alone is a status with the stock error text."""
+    rows = []
+    for method, outcome in (("GET", get), ("POST", post),
+                            ("DELETE", delete), ("PUT", put)):
+        status, expected = (outcome if isinstance(outcome, tuple)
+                            else (outcome, None))
+        if expected is None and status == 405:
+            expected = _not_allowed(method)
+        elif expected is None and status == 404:
+            expected = _no_endpoint(path)
+        body = b"{}" if method in ("POST", "PUT") else None
+        rows.append((method, path, body, status, expected))
+    return rows
+
+
+#: ``(method, path, body) → (status, expected)`` as served by the
+#: parent of the route-table change; ``expected`` is the full payload,
+#: an error string (``{"ok": false, "error": …}``), or ``None`` for a
+#: body that snapshots live state (status only).
+ROUTE_SURFACE = [
+    *_sweep("/cas", (200, {"ok": True, "cas": {"served": 0},
+                           "remote": None}), 405),
+    *_sweep("/cas/", (200, {"ok": True, "cas": {"served": 0},
+                            "remote": None}), 405),
+    *[row for path in ("/check", "/compile", "/estimate", "/interp",
+                       "/rtl")
+      for row in _sweep(path, 404, (400, NO_SOURCE))],
+    *_sweep("/dse", 404, (400, 'request must carry a string "space" '
+                               'field')),
+    *[row for path in ("/healthz", "/metrics", "/stages", "/trace")
+      for row in _sweep(path, (200, None), 404)],
+    *_sweep("/jobs", (200, {"ok": True, "count": 0, "jobs": []}), 405),
+    *_sweep("/jobs/", (200, {"ok": True, "count": 0, "jobs": []}), 405),
+    *_sweep("/session", 405, (400, NO_SOURCE),
+            (405, "method DELETE not allowed (close a session by id: "
+                  "DELETE /session/{id})")),
+    *_sweep("/session/", 404, 404, 404, 404),
+    *_sweep("/session/a/b", 405,
+            (404, {"ok": False, "error": "no such session 'a/b' (never "
+                   "opened, expired, or evicted)", "session": "a/b"}),
+            (404, {"ok": False, "error": "no such session 'a/b'",
+                   "session": "a/b"})),
+    *_sweep("/nope", 404, 404),
+    *_sweep("/check/x", 404, 404),
+    *_sweep("/jobs/a/b", 404, 405),
+    *_sweep("/jobs/unknown/stream", (404, "no such job 'unknown'"), 405),
+    *_sweep("/jobs/stream", (404, "no such job 'stream'"), 405),
+    *_sweep("/jobs//stream", 404, 405),
+    *_sweep("/jobs/a/b/stream", 404, 405),
+    *_sweep("/cas/zzz", 404, 405),
+    *_sweep(CAS_KEY, (400, 'query parameter "stage" is required'), 405),
+    ("GET", CAS_KEY + "?stage=check", None, 404,
+     "no artifact check:000000000000"),
+    ("GET", CAS_KEY + "?stage=../x", None, 404,
+     "no artifact ../x:000000000000"),
+    ("GET", "/jobs?limit=many", None, 400,
+     "malformed limit (expected an integer)"),
+    ("GET", "/trace?format=pdf", None, 400,
+     "unknown trace format 'pdf' (choose json or chrome)"),
+    ("GET", "/trace?limit=many", None, 400,
+     "malformed limit (expected an integer)"),
+    ("GET", "/trace?id=missing", None, 404,
+     "no trace 'missing' (it may have aged out, or the request was not "
+     "sampled)"),
+    ("PATCH", "/check", None, 405, "method PATCH not allowed"),
+    ("PATCH", "/session", None, 405, "method PATCH not allowed"),
+    ("POST", "/check?x=1", b"{}", 400, NO_SOURCE),
+    ("POST", "/check", b"{nope", 400, NO_JSON),
+    ("POST", "/check", b"[1]", 400, "request body must be a JSON object"),
+    ("POST", "/check", b'{"source": 5}', 400, NO_SOURCE),
+    ("POST", "/session", b"{nope", 400, NO_JSON),
+    ("POST", "/session/x", b"{}", 404,
+     {"ok": False, "error": "no such session 'x' (never opened, expired, "
+      "or evicted)", "session": "x"}),
+    ("DELETE", "/session/x", None, 404,
+     {"ok": False, "error": "no such session 'x'", "session": "x"}),
+    ("POST", "/dse", b"{nope", 400, NO_JSON),
+    ("POST", "/dse", b"[1]", 400, "request body must be a JSON object"),
+    ("POST", "/dse", b'{"space": "stencil2d", "stream": true}', 400,
+     '"stream": true requires "mode": "frontier"'),
+    ("POST", "/dse", STREAM_ASYNC, 400,
+     '"stream" and "async" are exclusive (tail an async job via GET '
+     '/jobs/{id}/stream)'),
+    ("POST", "/dse",
+     b'{"space": "warp-drive", "mode": "frontier", "stream": true}', 400,
+     "unknown DSE space 'warp-drive' (choose from: gemm-blocked, md-grid, "
+     "md-knn, stencil2d)"),
+    ("POST", "/dse", STREAM_BAD_SAMPLE, 400,
+     "malformed dse request: invalid literal for int() with base 10: "
+     "'many'"),
+    ("POST", "/dse", b'{"space": "stencil2d", "mode": "sideways"}', 400,
+     "unknown dse mode 'sideways' (choose from: exhaustive, frontier)"),
+    ("POST", "/dse", b'{"space": "stencil2d", "budget": 3}', 400,
+     '"budget" requires "mode": "frontier"'),
+]
+
+
+def test_route_surface_is_pinned_request_by_request():
+    """Every route under GET, POST, DELETE and PUT, plus the odd paths
+    and malformed bodies, answers the status and bytes pinned above."""
+    import http.client
+
+    with BackgroundServer(DahliaService()) as fresh:
+        for method, path, body, status, expected in ROUTE_SURFACE:
+            connection = http.client.HTTPConnection(
+                "127.0.0.1", fresh.port, timeout=30)
+            try:
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                served = response.read()
+            finally:
+                connection.close()
+            where = f"{method} {path} {body!r}"
+            assert response.status == status, where
+            if isinstance(expected, str):
+                expected = {"ok": False, "error": expected}
+            if expected is not None:
+                assert served == encode_payload(expected), where

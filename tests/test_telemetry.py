@@ -22,12 +22,9 @@ import json
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import (
-    BackgroundServer,
-    DahliaService,
-    EndpointMetrics,
-    _aggregate_metrics,
-)
+from repro.service.fleet import _aggregate_metrics
+from repro.service.server import DahliaService, EndpointMetrics
+from repro.service.transport import BackgroundServer
 from repro.util import telemetry
 from repro.util.deadline import Deadline, DeadlineExceeded, check_deadline, \
     deadline_scope
