@@ -5,12 +5,12 @@ estimator runs per family even after acceptance memoization collapses
 the *checker* work. This module answers the query those sweeps exist
 for ("the accepted-Pareto frontier of this family") adaptively:
 
-1. **Acceptance screen** — the builder's ``acceptance_key`` projection
-   resolves every configuration's checker verdict at the unique-key
-   cost (a few hundred runs for a 32,000-point space, exactly as in
-   the exhaustive engine). Rejected configurations are discarded
-   *before* any estimation: on the seed families this alone caps full
-   evaluations at the 0.3–3.4% acceptance rate.
+1. **Acceptance screen** — the exhaustive engine's own
+   :func:`~repro.dse.engine.acceptance_pass` resolves every
+   configuration's checker verdict at the unique-key cost (a few
+   hundred runs for a 32,000-point space). Rejected configurations are
+   discarded *before* any estimation: on the seed families this alone
+   caps full evaluations at the 0.3–3.4% acceptance rate.
 
 2. **Certified screening bounds** — every surviving candidate gets a
    :func:`~repro.hls.estimator.estimate_bounds` vector: a componentwise
@@ -38,6 +38,7 @@ dominance of its bound is impossible (see
 
 from __future__ import annotations
 
+import collections
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -49,9 +50,8 @@ from ..hls.estimator import Report, estimate, estimate_bounds
 from ..util import telemetry
 from ..util.deadline import check_deadline
 from .engine import (
-    ACCEPTANCE_KEY_ATTR,
     EngineStats,
-    _check_config,
+    acceptance_pass,
     parallel_map,
     resolve_workers,
 )
@@ -215,39 +215,19 @@ def frontier_sweep(space: ParameterSpace | Iterable[dict[str, int]],
     n_workers = resolve_workers(workers)
 
     # Phase A — resolve every acceptance verdict at unique-key cost.
-    key_fn = getattr(source_builder, ACCEPTANCE_KEY_ATTR, None)
-    parses = fn_checked = fn_reused = 0
-    if memoize and key_fn is not None:
-        reps: dict[Any, dict[str, int]] = {}
-        for config in configs:
-            reps.setdefault(key_fn(config), config)
-        with telemetry.span("dse.prefill", keys=len(reps)):
-            outcomes = parallel_map(partial(_check_config, source_builder),
-                                    reps.values(), workers=n_workers)
-        verdicts = dict(zip(reps.keys(),
-                            (verdict for verdict, *_ in outcomes)))
-        accepted_idx = [i for i, config in enumerate(configs)
-                        if verdicts[key_fn(config)][0]]
-        checker_runs = len(reps)
-        memo_hits = len(configs) - len(reps)
-    else:
-        with telemetry.span("dse.prefill", keys=len(configs)):
-            outcomes = parallel_map(partial(_check_config, source_builder),
-                                    configs, workers=n_workers)
-        accepted_idx = [i for i, (verdict, *_) in enumerate(outcomes)
-                        if verdict[0]]
-        checker_runs = len(configs)
-        memo_hits = 0
-    parses += sum(ran for _, ran, _, _ in outcomes)
-    fn_checked += sum(fnc for _, _, fnc, _ in outcomes)
-    fn_reused += sum(fnr for _, _, _, fnr in outcomes)
+    counts: collections.Counter = collections.Counter()
+    accepted_idx = [
+        i for i, (accepted, _) in enumerate(acceptance_pass(
+            configs, source_builder, workers=n_workers, memoize=memoize,
+            counts=counts))
+        if accepted]
 
     # Phase B — certified screening bounds for the survivors.
     if accepted_idx:
         bounds = np.asarray(
             parallel_map(partial(_bound_config, kernel_builder),
                          [configs[i] for i in accepted_idx],
-                         workers=n_workers),
+                         workers=n_workers, counts=counts),
             dtype=float)
     else:
         bounds = np.empty((0, 5), dtype=float)
@@ -304,7 +284,7 @@ def frontier_sweep(space: ParameterSpace | Iterable[dict[str, int]],
             reports = parallel_map(
                 partial(_estimate_config, kernel_builder),
                 [configs[i] for i in batch_indices],
-                workers=n_workers)
+                workers=n_workers, counts=counts)
         for index, report in zip(batch_indices, reports):
             evaluated[index] = report
             frontier.insert(index, report.objectives)
@@ -329,11 +309,9 @@ def frontier_sweep(space: ParameterSpace | Iterable[dict[str, int]],
     elapsed = time.perf_counter() - started
     stats = EngineStats(
         points=len(configs), elapsed_s=elapsed, workers=n_workers,
-        chunk_size=size, checker_runs=checker_runs,
-        memo_hits=memo_hits, parses=parses, fn_checked=fn_checked,
-        fn_reused=fn_reused, points_proposed=proposed,
+        chunk_size=size, points_proposed=proposed,
         points_evaluated=len(evaluated),
-        frontier_versions=frontier.version)
+        frontier_versions=frontier.version, **counts)
     frontier_points = [
         DesignPoint(config=configs[index], accepted=True, rejection=None,
                     report=evaluated[index])

@@ -275,9 +275,9 @@ class JobManager:
         not yet seen (monotone — the record's list is version-ordered
         by construction), then a terminal ``result`` or ``error``
         event. Returns the HTTP-ish status of the stream: 404 when the
-        job is unknown, 200 otherwise. Polling the record rather than
-        subscribing is what makes this work across processes — the
-        spool is the subscription.
+        job is unknown, 500 when it failed, 200 otherwise. Polling the
+        record rather than subscribing is what makes this work across
+        processes — the spool is the subscription.
         """
         last_version = 0
         while stop is None or not stop.is_set():
@@ -302,7 +302,7 @@ class JobManager:
                       "payload": {"ok": False,
                                   "error": record.get("error",
                                                       "job failed")}})
-                return 200
+                return 500
             time.sleep(_TAIL_POLL_S)
         return 200
 

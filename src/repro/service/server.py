@@ -403,7 +403,8 @@ class DahliaService:
         """Validate a ``/dse`` request into sweep parameters.
 
         Shared by the buffered and streaming paths so both surfaces
-        reject malformed requests identically.
+        reject malformed requests identically, and count every valid
+        request once in ``/metrics`` ``dse.requests``.
         """
         space = request.get("space")
         if not isinstance(space, str):
@@ -437,6 +438,8 @@ class DahliaService:
         # process, which only the operator can judge safe — a client
         # must not be able to trigger it.
         workers = max(1, min(workers, self.dse_workers or 1))
+        with self._metrics_lock:
+            self._dse["requests"] += 1
         return {"space": space, "mode": mode, "sample": sample,
                 "sample_seed": sample_seed, "workers": workers,
                 "memoize": memoize, "budget": budget,
@@ -492,8 +495,6 @@ class DahliaService:
 
     def _respond_dse(self, request: Mapping[str, Any]) -> dict:
         params = self._parse_dse(request)
-        with self._metrics_lock:
-            self._dse["requests"] += 1
         if request.get("async"):
             if request.get("stream"):
                 raise BadRequest('"stream" and "async" are exclusive '

@@ -271,27 +271,67 @@ def test_parallel_map_order_preserved():
         [x * x for x in items]
 
 
-# -- a pool worker that dies --------------------------------------------------
+def _fail(x):
+    raise ValueError(f"no answer for {x}")
+
+
+def test_parallel_map_propagates_an_error_raised_everywhere():
+    """A worker's error is redone inline; one the caller raises too
+    is the map's own."""
+    with pytest.raises(ValueError, match="no answer for"):
+        parallel_map(_fail, list(range(8)), workers=2)
+
+
+def _run_child(*argv):
+    """Run ``python -c *argv`` with this checkout's ``src`` on the path."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_importing_the_engine_loads_no_process_pool():
+    """The pool machinery is imported when a map first forks, not with
+    the package: every in-process sweep at one worker, and every
+    process that imports ``repro.dse``, would pay for it otherwise."""
+    loaded = _run_child(
+        "import sys, repro.dse; print(sorted(set(sys.modules) & "
+        "{'multiprocessing', 'concurrent.futures.process'}))")
+    assert loaded.strip() == "[]"
+
+
+# -- a pool worker that dies or raises ----------------------------------------
 
 #: Runs in a child interpreter, so a map that waits forever on a dead
 #: worker fails the test by timeout instead of hanging the suite.
-#: ``argv``: the flag file the first dying worker creates, the mode.
+#: ``argv``: the flag file the first failing worker creates, the mode,
+#: and how that worker fails (``exit`` or ``raise``).
 _DIE_ONCE_SCRIPT = """
 import json, os, sys
 
 from repro.dse import parallel_map, sweep
 from repro.suite import stencil2d_kernel, stencil2d_source, stencil2d_space
 
-FLAG, MODE, PARENT = sys.argv[1], sys.argv[2], os.getpid()
+FLAG, MODE, HOW, PARENT = sys.argv[1:4] + [os.getpid()]
 
 
 def die_once():
-    # The first pool worker to get here exits; the parent never does.
+    # The first pool worker to get here fails; the parent never does.
     if os.getpid() != PARENT:
         try:
             os.close(os.open(FLAG, os.O_CREAT | os.O_EXCL))
         except FileExistsError:
             return
+        if HOW == "raise":
+            raise RuntimeError("injected worker error")
         os._exit(3)
 
 
@@ -321,21 +361,13 @@ else:
 """
 
 
-def _run_die_once(tmp_path, mode):
+def _run_die_once(tmp_path, mode, how="exit"):
     import json
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", _DIE_ONCE_SCRIPT, str(tmp_path / "died"),
-         mode], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert (tmp_path / "died").exists()      # a worker really died
-    return json.loads(done.stdout)
+    stdout = _run_child(_DIE_ONCE_SCRIPT, str(tmp_path / "died"), mode,
+                        how)
+    assert (tmp_path / "died").exists()      # a worker really failed
+    return json.loads(stdout)
 
 
 def test_parallel_map_survives_a_worker_dying(tmp_path):
@@ -344,4 +376,9 @@ def test_parallel_map_survives_a_worker_dying(tmp_path):
 
 def test_frontier_sweep_survives_a_worker_dying(tmp_path):
     one_worker, two_workers = _run_die_once(tmp_path, "frontier")
+    assert two_workers == one_worker
+
+
+def test_frontier_sweep_survives_a_worker_raising(tmp_path):
+    one_worker, two_workers = _run_die_once(tmp_path, "frontier", "raise")
     assert two_workers == one_worker

@@ -402,6 +402,7 @@ def test_dse_metrics_counters(stream_client):
     stream_client.dse("stencil2d", sample=120, mode="frontier")
     list(stream_client.dse_stream("stencil2d", sample=120))
     after = stream_client.metrics()["dse"]
+    assert after["requests"] >= before["requests"] + 2
     assert after["frontier_requests"] >= before["frontier_requests"] + 2
     assert after["stream_requests"] >= before["stream_requests"] + 1
     assert after["points_evaluated"] > before["points_evaluated"]

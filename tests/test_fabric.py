@@ -229,9 +229,13 @@ def test_async_job_error_state():
         assert "no-such-space" in record["error"]
         # Tailing a failed job surfaces the failure as a ServiceError
         # (the stream's terminal event is an error event).
+        before = client.metrics()["endpoints"]["/jobs"]["errors"]
         with pytest.raises(ServiceError, match="no-such-space"):
             list(client.job_stream(submitted["job"]))
-        assert client.metrics()["jobs"]["failed"] == 1
+        metrics = client.metrics()
+        assert metrics["jobs"]["failed"] == 1
+        # ... and counts as the failed request it was on the wire.
+        assert metrics["endpoints"]["/jobs"]["errors"] == before + 1
 
 
 def test_unknown_job_is_404():
