@@ -9,11 +9,11 @@ Times the sampled Fig. 7 gemm-blocked sweep through three paths:
 plus the **parse-vs-check frontend split**: per-point cost of
 re-parsing rendered source vs substituting into the once-parsed
 family template vs the checker run itself (identical either way).
-
-``benchmarks/record_dse_bench.py`` runs the same sweeps standalone and
-appends points/sec — and the measured split — to ``BENCH_dse.json`` so
-PRs accumulate a throughput trajectory (see PERFORMANCE.md).
+``BENCH_dse.json`` keeps the throughput and split recorded by earlier
+revisions (see PERFORMANCE.md); ``perfbench/`` measures the sweep now.
 """
+
+import time
 
 from repro.dse import explore, sweep
 from repro.suite import (
@@ -24,9 +24,56 @@ from repro.suite import (
 )
 
 from .helpers import print_table
-from .record_dse_bench import measure_parse_check_split
 
 SAMPLE = 600
+
+
+def measure_parse_check_split(configs, family, source_fn) -> dict:
+    """Per-point frontend cost split over ``configs``.
+
+    Times the three frontend strategies a sweep could use per checker
+    run: re-parse the rendered source, template-substitute the
+    once-parsed AST, and the checker run itself (identical either
+    way). Template parses are excluded by prebuilding every touched
+    variant — exactly what a sweep amortizes.
+    """
+    from repro.errors import DahliaError
+    from repro.frontend.parser import parse
+    from repro.types.checker import check_program
+
+    sources = [source_fn(config) for config in configs]
+
+    started = time.perf_counter()
+    programs = [parse(source) for source in sources]
+    parse_s = time.perf_counter() - started
+
+    for config in configs:                 # prebuild variant templates
+        family.template_for(config)
+    started = time.perf_counter()
+    substituted = [family.instantiate(config) for config in configs]
+    substitute_s = time.perf_counter() - started
+
+    started = time.perf_counter()
+    for program in substituted:
+        try:
+            check_program(program)
+        except DahliaError:
+            pass
+    check_s = time.perf_counter() - started
+    del programs
+
+    n = max(1, len(configs))
+    frontend = parse_s + check_s
+    return {
+        "points": len(configs),
+        "parse_ms_per_point": round(parse_s / n * 1000, 4),
+        "substitute_ms_per_point": round(substitute_s / n * 1000, 4),
+        "check_ms_per_point": round(check_s / n * 1000, 4),
+        "parse_fraction_of_frontend": round(parse_s / frontend, 4)
+        if frontend else 0.0,
+        "parse_over_substitute": round(parse_s / substitute_s, 2)
+        if substitute_s else None,
+    }
 
 
 def _configs():

@@ -396,13 +396,15 @@ def _run_map_batch(items: Sequence[Any],
     records.
 
     The ``dse.worker`` fault point fires before each item, so a plan
-    can model a worker that errors or dies mid-map. Spans open under
-    the caller's trace context — inherited as ``$REPRO_TRACE_CONTEXT``
-    over both ``fork`` and ``spawn`` — and ride home with the answers;
-    a killed worker's spans die with it.
+    can model a worker that errors or dies mid-map; its ``fault`` event
+    lands on the batch's ``dse.batch`` span. Spans open under the
+    caller's trace context — inherited as ``$REPRO_TRACE_CONTEXT`` over
+    both ``fork`` and ``spawn`` — and ride home with the answers; a
+    killed worker's spans die with it.
     """
     answers: list[tuple[bool, Any]] = []
-    with telemetry.adopted(_map_state["context"]) as collect:
+    with telemetry.adopted(_map_state["context"]) as collect, \
+            telemetry.span("dse.batch", items=len(items)):
         for item in items:
             try:
                 fault_point("dse.worker")
@@ -426,10 +428,11 @@ def parallel_map(function: Callable[[Any], Any],
     identical regardless of the worker count; otherwise a process pool
     answers batches of ``chunk_size`` items. The mapped functions are
     pure, so when a pool worker raises or dies the items it left
-    unanswered are redone inline in the caller: each redone item is a
-    ``dse.requeue`` span event (``reason`` ``worker-error`` or
-    ``lost-worker``), a broken pool adds one ``dse.lost_worker`` event,
-    and ``counts`` tallies them as ``requeued`` and ``lost_workers``.
+    unanswered are redone inline in the caller, and every answer that
+    did arrive is kept: each redone item is a ``dse.requeue`` span
+    event (``reason`` ``worker-error`` or ``lost-worker``), a broken
+    pool adds one ``dse.lost_worker`` event, and ``counts`` tallies
+    them as ``requeued`` and ``lost_workers``.
     An item that raises inline too propagates its error. ``progress``
     is called with the running count of answered items.
     """
@@ -453,13 +456,24 @@ def parallel_map(function: Callable[[Any], Any],
         for item in materialized:
             answer(function(item))
         return results
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     size = (chunk_size if chunk_size and chunk_size > 0
             else default_chunk_size(len(materialized), n_workers))
     batches = [materialized[i:i + size]
                for i in range(0, len(materialized), size)]
+
+    def submit(pool: ProcessPoolExecutor, batch: list) -> Future:
+        # A worker can die while batches are still being submitted; the
+        # batches a broken pool refuses are lost like those it dropped.
+        try:
+            return pool.submit(_run_map_batch, batch)
+        except BrokenProcessPool as lost:
+            refused: Future = Future()
+            refused.set_exception(lost)
+            return refused
+
     # Workers fork inside this scope, so they inherit the current span
     # as their trace parent.
     with telemetry.propagate_env(), ProcessPoolExecutor(
@@ -467,19 +481,27 @@ def parallel_map(function: Callable[[Any], Any],
             mp_context=_pool_context(),
             initializer=_init_map_worker,
             initargs=(function,)) as pool:
+        futures = [submit(pool, batch) for batch in batches]
+        broken = False
         try:
-            for batch, (answers, spans) in zip(
-                    batches, pool.map(_run_map_batch, batches)):
+            for batch, future in zip(batches, futures):
+                try:
+                    answers, spans = future.result()
+                except BrokenProcessPool:
+                    if not broken:
+                        broken = True
+                        telemetry.add_event("dse.lost_worker")
+                        counts["lost_workers"] += 1
+                    for item in batch:
+                        redo(item, "lost-worker")
+                    continue
                 telemetry.attach_spans(spans)
                 for item, (ok, value) in zip(batch, answers):
                     if ok:
                         answer(value)
                     else:
                         redo(item, "worker-error", value)
-        except BrokenProcessPool:
-            telemetry.add_event("dse.lost_worker",
-                                redone=len(materialized) - len(results))
-            counts["lost_workers"] += 1
-            for item in materialized[len(results):]:
-                redo(item, "lost-worker")
+        finally:
+            for future in futures:
+                future.cancel()
     return results

@@ -171,7 +171,7 @@ class FrontierResult:
     exhaustive oracle's ``accepted_pareto_indices`` exactly. The
     ``trajectory`` records ``(evaluated, version, frontier_size)``
     after every batch — the points-evaluated-to-frontier curve that
-    ``record_dse_bench.py`` archives.
+    ``benchmarks/bench_dse_frontier.py`` reports.
     """
 
     space_size: int

@@ -439,19 +439,31 @@ class ServiceClient:
         an in-stream ``error`` event. A dedicated connection is used;
         the thread's keep-alive connection is untouched.
         """
+        return self._ndjson("GET", f"/jobs/{job_id}/stream")
+
+    def _ndjson(self, method: str, path: str,
+                payload: dict | None = None) -> Iterator[dict]:
+        """The events of one NDJSON stream on a dedicated connection;
+        a non-200 status or an ``error`` event raises
+        :class:`ServiceError`."""
         request_id = telemetry.current_trace_id() or telemetry.new_id()
         self.last_request_id = request_id
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout)
         try:
             connection.request(
-                "GET", f"/jobs/{job_id}/stream",
-                headers={"X-Request-Id": request_id})
+                method, path,
+                body=None if payload is None else json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json",
+                         "X-Request-Id": request_id})
             response = connection.getresponse()
             if response.status != 200:
                 decoded = json.loads(response.read().decode())
                 raise ServiceError(response.status, decoded,
                                    request_id=request_id)
+            # http.client decodes Transfer-Encoding: chunked
+            # transparently; iterating the response yields the NDJSON
+            # lines as they arrive.
             for line in response:
                 if not line.strip():
                     continue
@@ -518,31 +530,4 @@ class ServiceClient:
                                     "frontier", budget, batch_size,
                                     sample_seed)
         payload["stream"] = True
-        request_id = telemetry.current_trace_id() or telemetry.new_id()
-        self.last_request_id = request_id
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout)
-        try:
-            connection.request(
-                "POST", "/dse", body=json.dumps(payload).encode(),
-                headers={"Content-Type": "application/json",
-                         "X-Request-Id": request_id})
-            response = connection.getresponse()
-            if response.status != 200:
-                decoded = json.loads(response.read().decode())
-                raise ServiceError(response.status, decoded,
-                                   request_id=request_id)
-            # http.client decodes Transfer-Encoding: chunked
-            # transparently; iterating the response yields the NDJSON
-            # lines as they arrive.
-            for line in response:
-                if not line.strip():
-                    continue
-                event = json.loads(line.decode())
-                if event.get("type") == "error":
-                    raise ServiceError(int(event.get("status", 500)),
-                                       event.get("payload"),
-                                       request_id=request_id)
-                yield event
-        finally:
-            connection.close()
+        return self._ndjson("POST", "/dse", payload)

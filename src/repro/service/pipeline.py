@@ -406,14 +406,14 @@ def _compile(pipeline: CompilerPipeline, source: str, opts: dict) -> str:
         unit_store=pipeline.units)
 
 
-@_stage("rtl", deps=("parse",), options=("module_name",))
+@_stage("rtl", deps=("parse", "check"), options=("module_name",))
 def _rtl(pipeline: CompilerPipeline, source: str, opts: dict) -> str:
     from ..rtl import emit_verilog, lower_program
 
     program = pipeline.run("parse", source, opts)
-    module = lower_program(program,
-                           name=str(opts.get("module_name", "main")))
-    return emit_verilog(module)
+    pipeline.run("check", source, opts)
+    return emit_verilog(lower_program(
+        program, name=str(opts.get("module_name", "main")), check=False))
 
 
 @_stage("interp", deps=("parse", "check"), options=("check",))

@@ -80,10 +80,8 @@ ROUTES: dict[tuple[str, str], tuple[str, str | None]] = {
     ("DELETE", "/session"): ("_delete_session", None),
     ("DELETE", "/session/{id}"): ("_delete_session", None),
     ("GET", "/cas"): ("_get_cas", None),
-    ("GET", "/cas/"): ("_get_cas", None),
     ("GET", "/cas/{digest}"): ("_get_cas", None),
     ("GET", "/jobs"): ("_get_jobs", None),
-    ("GET", "/jobs/"): ("_get_jobs", None),
     ("GET", "/jobs/{id}/stream"): ("_get_jobs", "_stream_job"),
     ("GET", "/jobs/{id}"): ("_get_jobs", None),
 }
@@ -98,21 +96,12 @@ _PATTERNS = [(method, pattern.partition("{")[0],
 _FAMILIES = frozenset("/" + head.split("/")[1]
                       for _, head, _, _ in _PATTERNS)
 
-#: Methods of the routes outside every family.
-_ROOT_METHODS = frozenset(method for method, pattern in ROUTES
-                          if "/" + pattern.split("/")[1] not in _FAMILIES)
-
 #: Routes that get their own row in the metrics table (a family
 #: shares one row); anything else is bucketed under one key so
 #: unknown-path probes can't grow the table (and the /metrics
 #: response) without bound.
 KNOWN_PATHS = frozenset("/" + pattern.split("/")[1]
                         for _, pattern in ROUTES)
-
-
-def _family(path: str) -> str | None:
-    head = "/" + path[1:].partition("/")[0]
-    return head if head in _FAMILIES else None
 
 
 def _argument(head: str, tail: str, path: str) -> str | None:
@@ -140,8 +129,10 @@ def resolve(method: str, path: str,
 def metric_path(path: str) -> str:
     """The metrics-table key for ``path``: its family's row, its own
     row for a route, else the shared ``(unknown)`` bucket."""
-    return _family(path) or (path if path in KNOWN_PATHS
-                             else "(unknown)")
+    head = "/" + path[1:].partition("/")[0]
+    if head in _FAMILIES:
+        return head
+    return path if path in KNOWN_PATHS else "(unknown)"
 
 
 def _not_found(path: str) -> tuple[int, dict]:
@@ -149,15 +140,9 @@ def _not_found(path: str) -> tuple[int, dict]:
 
 
 def _unrouted(call: "Call") -> tuple[int, dict]:
-    """404, or 405 when beneath a family some route serves the path
-    under another method — or, elsewhere, the method is not a root
-    route's (GET, POST)."""
-    if _family(call.path) is None:
-        wrong_method = call.method not in _ROOT_METHODS
-    else:
-        wrong_method = any(resolve(method, call.path)[0]
-                           for method in {method for method, _ in ROUTES})
-    if not wrong_method:
+    """405 when a route serves the path under another method, else 404."""
+    if not any(resolve(method, call.path)[0]
+               for method in {method for method, _ in ROUTES}):
         return _not_found(call.path)
     return 405, {"ok": False, "error": f"method {call.method} not allowed"}
 

@@ -315,7 +315,7 @@ def test_importing_the_engine_loads_no_process_pool():
 #: ``argv``: the flag file the first failing worker creates, the mode,
 #: and how that worker fails (``exit`` or ``raise``).
 _DIE_ONCE_SCRIPT = """
-import json, os, sys
+import collections, glob, json, os, sys, time
 
 from repro.dse import parallel_map, sweep
 from repro.suite import stencil2d_kernel, stencil2d_source, stencil2d_space
@@ -345,9 +345,51 @@ def kernel_once(config):
     return stencil2d_kernel(config)
 
 
+def square_then_die_last(x):
+    # Item 1's pool worker dies once every other item is answered.
+    if os.getpid() != PARENT and x != 1:
+        open(f"{FLAG}.{x}", "w").close()
+    elif os.getpid() != PARENT:
+        give_up_at = time.monotonic() + 30
+        while len(glob.glob(FLAG + ".*")) < 7 \\
+                and time.monotonic() < give_up_at:
+            time.sleep(0.01)
+        time.sleep(0.3)               # the last answer reaches the caller
+        os.close(os.open(FLAG, os.O_CREAT | os.O_EXCL))
+        os._exit(3)
+    return x * x
+
+
 if MODE == "map":
     print(json.dumps(parallel_map(square_once, list(range(40)),
                                   workers=2)))
+elif MODE == "early":
+    from concurrent.futures import ProcessPoolExecutor
+
+    submit = ProcessPoolExecutor.submit
+
+    def submit_after_a_death(pool, *args):
+        # The first worker dies on item 0 while the caller still holds
+        # the other one-item batches.
+        future = submit(pool, *args)
+        if not os.path.exists(FLAG):
+            give_up_at = time.monotonic() + 30
+            while not os.path.exists(FLAG) \\
+                    and time.monotonic() < give_up_at:
+                time.sleep(0.01)
+            time.sleep(0.3)           # the pool sees its worker die
+        return future
+
+    ProcessPoolExecutor.submit = submit_after_a_death
+    counts = collections.Counter()
+    answers = parallel_map(square_once, list(range(40)), workers=2,
+                           chunk_size=1, counts=counts)
+    print(json.dumps([answers, counts["requeued"], counts["lost_workers"]]))
+elif MODE == "late":
+    counts = collections.Counter()
+    answers = parallel_map(square_then_die_last, list(range(8)), workers=2,
+                           chunk_size=1, counts=counts)
+    print(json.dumps([answers, counts["requeued"], counts["lost_workers"]]))
 else:
     configs = list(stencil2d_space().sample(60))
     runs = [sweep(configs, stencil2d_source, kernel, workers=workers,
@@ -372,6 +414,22 @@ def _run_die_once(tmp_path, mode, how="exit"):
 
 def test_parallel_map_survives_a_worker_dying(tmp_path):
     assert _run_die_once(tmp_path, "map") == [x * x for x in range(40)]
+
+
+def test_parallel_map_survives_a_death_during_submission(tmp_path):
+    """A pool that breaks before the caller has submitted every batch
+    refuses the rest; those are redone inline like the lost ones."""
+    answers, requeued, lost_workers = _run_die_once(tmp_path, "early")
+    assert answers == [x * x for x in range(40)]
+    assert requeued >= 1 and lost_workers == 1
+
+
+def test_parallel_map_keeps_the_answers_that_arrived(tmp_path):
+    """A pool broken after the other worker answered items 0 and 2–7
+    redoes only item 1, and counts one lost worker."""
+    answers, requeued, lost_workers = _run_die_once(tmp_path, "late")
+    assert answers == [x * x for x in range(8)]
+    assert (requeued, lost_workers) == (1, 1)
 
 
 def test_frontier_sweep_survives_a_worker_dying(tmp_path):

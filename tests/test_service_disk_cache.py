@@ -262,6 +262,27 @@ def test_restarted_pipeline_serves_identical_bytes(tmp_path, stage,
     assert disk_stats["writes"] == 0               # nothing recomputed
 
 
+def test_restarted_server_serves_every_source_from_disk(tmp_path):
+    """A server restarted on a warm cache directory answers every
+    source byte-identically from the disk tier, writing nothing."""
+    from repro.service import BackgroundServer, DahliaService, ServiceClient
+    from repro.suite.generators import gemm_blocked_source, gemm_blocked_space
+
+    sources = [gemm_blocked_source(config)
+               for config in gemm_blocked_space().sample(6)]
+    served = []
+    for _ in range(2):
+        with BackgroundServer(DahliaService(
+                capacity=4096, cache_dir=str(tmp_path))) as node:
+            client = ServiceClient(port=node.port)
+            served.append([client.raw("POST", "/estimate", {"source": s})
+                           for s in sources])
+            disk = client.metrics()["cache"]["disk"]
+    assert served[1] == served[0]
+    assert {status for status, _ in served[0]} == {200}
+    assert disk["hits"] >= len(sources) and disk["writes"] == 0
+
+
 def test_rejections_survive_restarts_too(tmp_path):
     cold = CompilerPipeline(disk=tmp_path)
     baseline = encode_payload(cold.run("check_payload", BAD, {}))

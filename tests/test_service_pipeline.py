@@ -196,6 +196,20 @@ def test_rtl_payload_carries_verilog():
     assert payload["verilog"].rstrip().endswith("endmodule")
 
 
+@pytest.mark.parametrize("source", [GOOD, BAD], ids=["accepted", "rejected"])
+def test_rtl_payload_replays_the_cached_check_verdict(source, monkeypatch):
+    from repro.types.checker import Checker
+
+    pipeline = CompilerPipeline()
+    pipeline.run("check_payload", source)
+    checkers = []
+    init = Checker.__init__
+    monkeypatch.setattr(Checker, "__init__",
+                        lambda self: checkers.append(self) or init(self))
+    pipeline.run("rtl_payload", source)
+    assert checkers == []
+
+
 # ---------------------------------------------------------------------------
 # dse_summary
 # ---------------------------------------------------------------------------

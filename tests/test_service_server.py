@@ -410,24 +410,24 @@ def _sweep(path, get, post, delete=405, put=405):
     return rows
 
 
-#: ``(method, path, body) → (status, expected)`` as served by the
-#: parent of the route-table change; ``expected`` is the full payload,
+#: ``(method, path, body) → (status, expected)``: a path no route
+#: serves is a 404 under every method, and one that a route serves
+#: under another method is a 405. ``expected`` is the full payload,
 #: an error string (``{"ok": false, "error": …}``), or ``None`` for a
 #: body that snapshots live state (status only).
 ROUTE_SURFACE = [
     *_sweep("/cas", (200, {"ok": True, "cas": {"served": 0},
                            "remote": None}), 405),
-    *_sweep("/cas/", (200, {"ok": True, "cas": {"served": 0},
-                            "remote": None}), 405),
+    *_sweep("/cas/", 404, 404, 404, 404),
     *[row for path in ("/check", "/compile", "/estimate", "/interp",
                        "/rtl")
-      for row in _sweep(path, 404, (400, NO_SOURCE))],
-    *_sweep("/dse", 404, (400, 'request must carry a string "space" '
+      for row in _sweep(path, 405, (400, NO_SOURCE))],
+    *_sweep("/dse", 405, (400, 'request must carry a string "space" '
                                'field')),
     *[row for path in ("/healthz", "/metrics", "/stages", "/trace")
-      for row in _sweep(path, (200, None), 404)],
+      for row in _sweep(path, (200, None), 405)],
     *_sweep("/jobs", (200, {"ok": True, "count": 0, "jobs": []}), 405),
-    *_sweep("/jobs/", (200, {"ok": True, "count": 0, "jobs": []}), 405),
+    *_sweep("/jobs/", 404, 404, 404, 404),
     *_sweep("/session", 405, (400, NO_SOURCE),
             (405, "method DELETE not allowed (close a session by id: "
                   "DELETE /session/{id})")),
@@ -437,8 +437,8 @@ ROUTE_SURFACE = [
                    "opened, expired, or evicted)", "session": "a/b"}),
             (404, {"ok": False, "error": "no such session 'a/b'",
                    "session": "a/b"})),
-    *_sweep("/nope", 404, 404),
-    *_sweep("/check/x", 404, 404),
+    *_sweep("/nope", 404, 404, 404, 404),
+    *_sweep("/check/x", 404, 404, 404, 404),
     *_sweep("/jobs/a/b", 404, 405),
     *_sweep("/jobs/unknown/stream", (404, "no such job 'unknown'"), 405),
     *_sweep("/jobs/stream", (404, "no such job 'stream'"), 405),

@@ -180,13 +180,19 @@ def test_concurrent_stress_parity_across_workers(fleet):
 
     # Board snapshots are eventually consistent, bounded by the 2 s
     # heartbeat: poll until the aggregate covers every answered
-    # request rather than racing the last worker's publish.
+    # request rather than racing the last worker's publish. The
+    # worker totals also count the fleet's earlier requests (health
+    # polls, other tests), so the endpoint rows are waited on too.
     deadline = time.monotonic() + 10.0
     while True:
         metrics = client.metrics()
         per_worker = metrics["workers"]["per_worker"]
         total = sum(row["requests"] for row in per_worker.values())
-        if total >= 260 or time.monotonic() >= deadline:
+        served = {path: row["requests"]
+                  for path, row in metrics["endpoints"].items()}
+        if (total >= 260 and served.get("/check", 0) >= 80
+                and served.get("/estimate", 0) >= 60) \
+                or time.monotonic() >= deadline:
             break
         time.sleep(0.25)
 

@@ -76,6 +76,44 @@ def edited(text: str, edit: dict) -> str:
     return text[:edit["start"]] + edit["text"] + text[edit["end"]:]
 
 
+def test_session_reparses_what_the_document_reparses():
+    """A single-def edit re-parses at most two segments (the def, plus
+    the body tile beside it) even when the def holds nested loops and
+    its own ``---``, and a session's ``reparsed`` equals what the same
+    edit costs a standalone document."""
+    from repro.frontend.incremental import IncrementalDocument
+    from repro.service.pipeline import CompilerPipeline
+    from repro.service.session import SessionManager
+    from repro.util import telemetry
+
+    text = "".join(f"def stage{k}(x: float, out: float[4 bank 2]) {{\n"
+                   f"  let acc: float[4 bank 2][4 bank 2];\n"
+                   f"  for (let i = 0..4) unroll 2 {{\n"
+                   f"    for (let j = 0..4) unroll 2 {{\n"
+                   f"      acc[i][j] := x * {k + 1}.0;\n    }}\n  }}\n"
+                   f"  ---\n  out[{k}] := x + {k}.0;\n}}\n"
+                   for k in range(4)) + "decl O: float[4 bank 2];\n" \
+        + "\n---\n".join(f"stage{k}(1.0, O)" for k in range(4)) + "\n"
+    document = IncrementalDocument(text)
+    manager = SessionManager(CompilerPipeline())
+    status, opened = manager.open({"source": text, "session": "s"},
+                                  telemetry.new_id())
+    assert status == 200 and opened["check"]["ok"], opened
+    for index in range(8):
+        anchor = document.text.index(f"def stage{index % 4}(")
+        start = document.text.index("x * ", anchor) + len("x * ")
+        edit = {"start": start, "end": document.text.index(";", start),
+                "text": f"{500.5 + index}"}
+        stats = document.apply_edits([dict(edit)])
+        status, payload = manager.edit(
+            "s", {"version": index + 1, "edits": [dict(edit)]},
+            telemetry.new_id())
+        assert status == 200 and payload["check"]["ok"], payload
+        assert stats["parsed"] <= 2, stats
+        assert payload["reparsed"] == stats["parsed"]
+    manager.close("s")
+
+
 def test_open_edit_close_round_trip(client):
     opened = client.session_open(GOOD, session="round-trip")
     assert opened["ok"] and opened["version"] == 0

@@ -186,6 +186,38 @@ def test_inprocess_sweep_trace_records_requeue_events():
     telemetry.clear_traces()
 
 
+def test_inprocess_worker_faults_reach_the_trace():
+    """An error injected in a DSE pool worker is a ``fault`` event (on
+    the worker's ``dse.batch`` span) for every item the caller redoes."""
+    from repro.dse.engine import sweep
+    from repro.suite.generators import (
+        gemm_blocked_kernel,
+        gemm_blocked_source,
+        gemm_blocked_space,
+    )
+
+    telemetry.clear_traces()
+    plan = FaultPlan.from_dict({
+        "name": "error-dse-worker", "seed": 3,
+        "sites": {"dse.worker": {"count": 2, "error": "RuntimeError"}}})
+    with active(plan), telemetry.root_span(
+            "error-drill", trace_id="drill-2", sample_rate=1.0):
+        sweep(list(gemm_blocked_space().sample(80)), gemm_blocked_source,
+              gemm_blocked_kernel, workers=2)
+    trace = telemetry.find_trace("drill-2")
+    assert_connected(trace)
+    events = [event for span in trace["spans"] for event in span["events"]]
+    faults = [event for event in events if event["name"] == "fault"]
+    redone = [event for event in events if event["name"] == "dse.requeue"
+              and event["attrs"]["reason"] == "worker-error"]
+    assert redone and len(faults) == len(redone)
+    batches = {span["span_id"] for span in trace["spans"]
+               if span["name"] == "dse.batch"}
+    assert all(span["span_id"] in batches for span in trace["spans"]
+               if any(e["name"] == "fault" for e in span["events"]))
+    telemetry.clear_traces()
+
+
 @pytest.mark.parametrize("sample_rate, expect_trace", [(1.0, True),
                                                        (0.0, False)])
 def test_sampling_decision_spans_the_whole_tree(tmp_path, sample_rate,
